@@ -59,7 +59,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel scheduling workers (0 = one per CPU, 1 = sequential)")
 		useCache   = flag.Bool("cache", false, "memoize compilations across corpus runs with a shared compile cache")
 		streamDir  = flag.String("stream", "", "run the streaming corpus report over the sharded corpus in this directory (see corpusgen -shards)")
-		warm       = flag.Bool("warm", false, "enable warm-start near-miss seeding on the compile cache (implies -cache when streaming)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -110,18 +109,15 @@ func main() {
 
 	if *streamDir != "" {
 		// The report itself is deterministic and goes to stdout so scripts
-		// can diff it byte-for-byte; cache and warm traffic depend on worker
-		// interleaving and go to stderr.
+		// can diff it byte-for-byte; cache traffic depends on worker
+		// interleaving and goes to stderr.
 		paths, err := filepath.Glob(filepath.Join(*streamDir, "shard-*.mscorp"))
 		check(err)
 		sort.Strings(paths)
 		m := machine.Cydra5()
 		var cache *schedcache.Cache
-		if *useCache || *warm {
+		if *useCache {
 			cache = schedcache.New(0)
-			if *warm {
-				cache.EnableWarmStart(0)
-			}
 		}
 		rep, err := experiments.RunCorpusStream(ctx, paths, m, 2, *workers, cache)
 		check(err)
@@ -130,11 +126,6 @@ func main() {
 			st := cache.Stats()
 			fmt.Fprintf(os.Stderr, "compile cache: %d hits, %d misses, %d inflight joins, %d evictions\n",
 				st.Hits, st.Misses, st.Inflight, st.Evictions)
-			if *warm {
-				ws := cache.WarmStats()
-				fmt.Fprintf(os.Stderr, "warm start: %d near hits, %d near misses, %d warm starts, %d seeded ops, %d skipped II attempts, %d fallbacks\n",
-					ws.NearHits, ws.NearMisses, ws.WarmStarts, ws.SeededOps, ws.SkippedII, ws.Fallbacks)
-			}
 		}
 		return
 	}
@@ -175,18 +166,10 @@ func main() {
 	var cache *schedcache.Cache
 	if *useCache {
 		cache = schedcache.New(0)
-		if *warm {
-			cache.EnableWarmStart(0)
-		}
 		defer func() {
 			st := cache.Stats()
 			fmt.Printf("compile cache: %d hits, %d misses, %d inflight joins, %d evictions\n",
 				st.Hits, st.Misses, st.Inflight, st.Evictions)
-			if *warm {
-				ws := cache.WarmStats()
-				fmt.Printf("warm start: %d near hits, %d near misses, %d warm starts, %d seeded ops, %d skipped II attempts, %d fallbacks\n",
-					ws.NearHits, ws.NearMisses, ws.WarmStarts, ws.SeededOps, ws.SkippedII, ws.Fallbacks)
-			}
 		}()
 	}
 

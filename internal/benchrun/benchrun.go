@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"slices"
 	"sort"
 	"testing"
 
@@ -20,7 +19,6 @@ import (
 	"modsched/internal/ir"
 	"modsched/internal/kernels"
 	"modsched/internal/loopgen"
-	"modsched/internal/looplang"
 	"modsched/internal/machine"
 	"modsched/internal/mii"
 	"modsched/internal/schedcache"
@@ -226,74 +224,28 @@ func Run(workers int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The /scan line disables the compiled placement masks (Options.ScanMRT)
-	// and times the reference use-by-use MRT scan over the same suite, so
-	// the pair gates what the bit-packed reservation tables buy on the
-	// findTimeSlot hot path. Schedules are bit-identical between the two
-	// (pinned by core's differential battery); deltaII doubles as the
-	// drift detector here.
-	livermore := func(name string, scanMRT bool) {
-		if benchErr != nil {
-			return
-		}
+	// The Livermore suite's deltaII doubles as the drift detector here.
+	r = testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
 		opts := core.DefaultOptions()
-		opts.ScanMRT = scanMRT
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			var delta int64
-			for i := 0; i < b.N; i++ {
-				delta = 0
-				for _, l := range ks {
-					s, err := core.ModuloSchedule(l, m, opts)
-					if err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-					delta += int64(s.II - s.MII)
+		var delta int64
+		for i := 0; i < b.N; i++ {
+			delta = 0
+			for _, l := range ks {
+				s, err := core.ModuloSchedule(l, m, opts)
+				if err != nil {
+					benchErr = err
+					b.FailNow()
 				}
+				delta += int64(s.II - s.MII)
 			}
-			b.ReportMetric(float64(delta), "deltaII")
-		})
-		rep.Results = append(rep.Results, fromBenchmark(name, r))
-	}
-	livermore("ScheduleLivermore", false)
-	livermore("ScheduleLivermore/scan", true)
-	if benchErr != nil {
-		return nil, benchErr
-	}
-
-	// Speculative II race over the Livermore suite: same schedules by
-	// construction (the determinism suite pins that), different wall
-	// clock. deltaII doubles as the drift detector here.
-	specII := func(name string, w int) {
-		if benchErr != nil {
-			return
 		}
-		sopts := core.DefaultOptions()
-		sopts.SearchWorkers = w
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			var delta int64
-			for i := 0; i < b.N; i++ {
-				delta = 0
-				for _, l := range ks {
-					s, err := core.ModuloSchedule(l, m, sopts)
-					if err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-					delta += int64(s.II - s.MII)
-				}
-			}
-			b.ReportMetric(float64(delta), "deltaII")
-		})
-		rep.Results = append(rep.Results, fromBenchmark(name, r))
-	}
-	specII("SpeculativeII/w1", 1)
-	specII("SpeculativeII/w4", 4)
+		b.ReportMetric(float64(delta), "deltaII")
+	})
 	if benchErr != nil {
 		return nil, benchErr
 	}
+	rep.Results = append(rep.Results, fromBenchmark("ScheduleLivermore", r))
 
 	delays := make([][]int, len(loops))
 	for i, l := range loops {
@@ -340,150 +292,15 @@ func Run(workers int) (*Report, error) {
 		},
 	})
 
-	if err := warmMissBench(ctx, m, rep); err != nil {
-		return nil, err
-	}
 	if err := streamCorpusBench(ctx, m, workers, rep); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// warmMissSize is the warm-start benchmark corpus; every loop gets one
-// single-edit variant, so this is also the near-miss count per pass.
-const warmMissSize = 100
-
-// warmMissBench measures the warm-start delta path: a cache populated
-// with a corpus, then the same corpus with one immediate edited per
-// loop — every compile an exact-key miss with a distance-2 neighbor.
-// The cold line compiles the variants from scratch; the warm line goes
-// through the near-miss index and seeded probes. RestartOnFailure makes
-// the cold II ladder climb (the shape of hard misses, where skipping
-// matters); every warm schedule is asserted bit-identical to its cold
-// one at runtime, and the effort metrics are deterministic (sequential
-// compiles), so the gate compares them exactly.
-func warmMissBench(ctx context.Context, m *machine.Machine, rep *Report) error {
-	cfg := loopgen.Config{Seed: 80886, N: warmMissSize, MaxOps: 48}
-	base, err := loopgen.Generate(cfg, m)
-	if err != nil {
-		return err
-	}
-	opts := core.DefaultOptions()
-	opts.BudgetRatio = 2
-	opts.RestartOnFailure = true
-
-	variants := make([]*ir.Loop, 0, len(base))
-	for _, l := range base {
-		v, err := looplang.Parse(looplang.Print(l), m)
-		if err != nil {
-			return err
-		}
-		for k := range v.Ops {
-			if !v.Ops[k].IsPseudo() {
-				v.Ops[k].Imm += 4096
-				break
-			}
-		}
-		v.Name += "~v"
-		variants = append(variants, v)
-	}
-
-	// Cold reference schedules, also the warm assertion oracle.
-	coldScheds := make([]*core.Schedule, len(variants))
-	for i, v := range variants {
-		if coldScheds[i], err = core.ModuloScheduleContext(ctx, v, m, opts); err != nil {
-			return err
-		}
-	}
-
-	var benchErr error
-	perMiss := func(sum int64) float64 { return float64(sum) / float64(len(variants)) }
-
-	compileWarm := func(cache *schedcache.Cache, l *ir.Loop) (*core.Schedule, error) {
-		s, _, err := cache.DoWarm(l, m, opts, func(seed *core.WarmSeed) (*core.Schedule, *core.Degradation, error) {
-			sched, cerr := core.ModuloScheduleWarmContext(ctx, l, m, opts, seed)
-			return sched, nil, cerr
-		})
-		return s, err
-	}
-	// Both lines run the identical cache pipeline on the identical misses;
-	// the only difference is the near-miss index, so ns/op isolates what
-	// warm starting costs or saves end to end.
-	runLine := func(name string, warm bool) Result {
-		var ws schedcache.WarmStats
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			var cnt core.Counters
-			for i := 0; i < b.N; i++ {
-				// A fresh populated cache per iteration so every variant is
-				// a miss every time; population is untimed.
-				b.StopTimer()
-				cache := schedcache.New(0)
-				if warm {
-					cache.EnableWarmStart(0)
-				}
-				for _, l := range base {
-					if _, err := compileWarm(cache, l); err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-				}
-				b.StartTimer()
-				cnt = core.Counters{}
-				for k, v := range variants {
-					s, err := compileWarm(cache, v)
-					if err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-					cnt.Add(&s.Stats)
-					cold := coldScheds[k]
-					if s.II != cold.II || s.Length != cold.Length ||
-						!slices.Equal(s.Times, cold.Times) || !slices.Equal(s.Alts, cold.Alts) {
-						benchErr = fmt.Errorf("benchrun: %s schedule for %s differs from cold reference (II %d vs %d)",
-							name, v.Name, s.II, cold.II)
-						b.FailNow()
-					}
-				}
-				b.StopTimer()
-				ws = cache.WarmStats()
-				b.StartTimer()
-			}
-			b.ReportMetric(perMiss(cnt.IIAttempts), "iiAttempts/miss")
-			b.ReportMetric(perMiss(cnt.SchedSteps), "steps/miss")
-			if warm {
-				b.ReportMetric(float64(ws.NearHits), "nearHits")
-				b.ReportMetric(float64(ws.SkippedII), "skippedII")
-			}
-		})
-		return fromBenchmark(name, r)
-	}
-	coldRes := runLine("WarmMiss/cold", false)
-	if benchErr != nil {
-		return benchErr
-	}
-	warmRes := runLine("WarmMiss/warm", true)
-	if benchErr != nil {
-		return benchErr
-	}
-	rep.Results = append(rep.Results, coldRes, warmRes)
-
-	// The point of the exercise: warm misses must do measurably less work
-	// than cold ones. Fail the run outright if they do not, so a silent
-	// regression cannot hide behind a refreshed baseline.
-	if warmRes.Metrics["iiAttempts/miss"] >= coldRes.Metrics["iiAttempts/miss"] ||
-		warmRes.Metrics["steps/miss"] >= coldRes.Metrics["steps/miss"] {
-		return fmt.Errorf("benchrun: warm miss path does not beat cold: iiAttempts/miss %.3f vs %.3f, steps/miss %.1f vs %.1f",
-			warmRes.Metrics["iiAttempts/miss"], coldRes.Metrics["iiAttempts/miss"],
-			warmRes.Metrics["steps/miss"], coldRes.Metrics["steps/miss"])
-	}
-	return nil
-}
-
 // streamCorpusBench measures the sharded streaming pipeline end to end:
 // read, parse, schedule, fold. Quality metrics come from the aggregate
-// report and are byte-identical at any worker count; the warm line must
-// produce the identical formatted report, asserted at runtime.
+// report and are byte-identical at any worker count.
 func streamCorpusBench(ctx context.Context, m *machine.Machine, workers int, rep *Report) error {
 	dir, err := os.MkdirTemp("", "mscorp-bench-")
 	if err != nil {
@@ -497,46 +314,24 @@ func streamCorpusBench(ctx context.Context, m *machine.Machine, workers int, rep
 	}
 
 	var benchErr error
-	var coldReport string
-	run := func(name string, warm bool) Result {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			var sr *experiments.StreamReport
-			for i := 0; i < b.N; i++ {
-				var cache *schedcache.Cache
-				if warm {
-					cache = schedcache.New(0)
-					cache.EnableWarmStart(0)
-				}
-				var err error
-				sr, err = experiments.RunCorpusStream(ctx, paths, m, 2, workers, cache)
-				if err != nil {
-					benchErr = err
-					b.FailNow()
-				}
-			}
-			text := experiments.FormatStream(sr)
-			if warm && text != coldReport {
-				benchErr = fmt.Errorf("benchrun: warm stream report differs from cold:\n%s\nvs\n%s", text, coldReport)
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		var sr *experiments.StreamReport
+		for i := 0; i < b.N; i++ {
+			var err error
+			sr, err = experiments.RunCorpusStream(ctx, paths, m, 2, workers, nil)
+			if err != nil {
+				benchErr = err
 				b.FailNow()
 			}
-			if !warm {
-				coldReport = text
-			}
-			b.ReportMetric(float64(sr.SumII-sr.SumMII)/float64(sr.Loops), "deltaII/loop")
-			b.ReportMetric(float64(sr.ExecActual-sr.ExecBound)/float64(sr.ExecBound)*100, "dilation%")
-		})
-		return fromBenchmark(name, r)
-	}
-	cold := run("StreamCorpus/cold", false)
+		}
+		b.ReportMetric(float64(sr.SumII-sr.SumMII)/float64(sr.Loops), "deltaII/loop")
+		b.ReportMetric(float64(sr.ExecActual-sr.ExecBound)/float64(sr.ExecBound)*100, "dilation%")
+	})
 	if benchErr != nil {
 		return benchErr
 	}
-	warm := run("StreamCorpus/warm", true)
-	if benchErr != nil {
-		return benchErr
-	}
-	rep.Results = append(rep.Results, cold, warm)
+	rep.Results = append(rep.Results, fromBenchmark("StreamCorpus/cold", r))
 	return nil
 }
 

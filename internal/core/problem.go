@@ -73,20 +73,13 @@ type Options struct {
 	// explores (placing producers later shortens their values'
 	// lifetimes). Exists for the register-pressure ablation.
 	PlaceLate bool
-	// SearchWorkers, when greater than 1, races that many candidate IIs
-	// concurrently instead of probing them one at a time (see
-	// parallel.go). The result — schedule, counters, and error — is
-	// identical to the sequential search for any worker count; only
-	// wall-clock time changes. 0 and 1 mean sequential.
-	SearchWorkers int
-	// ScanMRT disables the compiled placement masks (machine.Compiled)
-	// and answers every MRT fit with the reference use-by-use scan. The
-	// bitset path is a pure accelerator — schedules, alternatives, and
-	// counters are bit-identical either way (pinned by the differential
-	// battery in mrtbitset_test.go) — so this knob, like SearchWorkers,
-	// changes only speed and is excluded from cache keys. It exists for
-	// differential testing and for measuring the masks' benefit.
-	ScanMRT bool
+
+	// scanMRT disables the compiled placement masks (machine.Compiled)
+	// and answers every MRT fit with the reference use-by-use scan in
+	// mrt.go. Schedules and counters are bit-identical either way; only
+	// this package's tests set it, to check the masks against the
+	// reference.
+	scanMRT bool
 }
 
 // DefaultOptions returns the configuration recommended by the paper's
@@ -115,19 +108,6 @@ type Counters struct {
 	Unschedules int64
 	// IIAttempts counts IterativeSchedule invocations.
 	IIAttempts int64
-
-	// Warm-start effort accounting (warm.go); all zero on cold compiles.
-	// WarmStarts counts searches that entered the seeded probe ladder.
-	WarmStarts int64
-	// WarmSeededOps counts operations pre-placed at their neighbor's slots
-	// across all warm attempts.
-	WarmSeededOps int64
-	// WarmSkippedII counts candidate IIs the warm search never attempted
-	// that the cold ladder would have.
-	WarmSkippedII int64
-	// WarmFallbacks counts warm searches abandoned to the full cold ladder
-	// because no seeded probe produced a schedule.
-	WarmFallbacks int64
 }
 
 // Add accumulates other into c.
@@ -144,10 +124,6 @@ func (c *Counters) Add(other *Counters) {
 	c.SchedStepsFinal += other.SchedStepsFinal
 	c.Unschedules += other.Unschedules
 	c.IIAttempts += other.IIAttempts
-	c.WarmStarts += other.WarmStarts
-	c.WarmSeededOps += other.WarmSeededOps
-	c.WarmSkippedII += other.WarmSkippedII
-	c.WarmFallbacks += other.WarmFallbacks
 }
 
 // problem is the prepared, immutable scheduling problem.
@@ -172,9 +148,7 @@ type problem struct {
 	// condensation (the graph topology never changes across II attempts,
 	// only the edge weights Delay - II*Distance do), self-edge flags, the
 	// static priority vectors, the all-ops node list, and the cross-II
-	// MinDist coefficient profile. All of them must be forced via prewarm
-	// before candidate goroutines fork (parallel.go) so the race shares
-	// them read-only.
+	// MinDist coefficient profile.
 	comps     [][]int
 	hasSelf   []bool
 	fifoPrio  []int
@@ -197,22 +171,6 @@ func (p *problem) profile() *mii.Profile {
 		p.prof = mii.BuildProfile(p.loop, p.delays, p.allNodes(), &p.counters.MII)
 	}
 	return p.prof
-}
-
-// prewarm forces every lazily-built II-independent cache so the
-// speculative II race can share the problem read-only across candidate
-// goroutines. The profile is only needed by the slack algorithm's
-// per-attempt MinDist closure; building it for the iterative scheduler
-// would be pure waste.
-func (p *problem) prewarm(algo string) {
-	p.condensation()
-	p.fifoPriority()
-	p.depthPriority()
-	p.allNodes()
-	p.opcodeOrder()
-	if algo == AlgoSlack {
-		p.profile()
-	}
 }
 
 // opcodeOrder returns the per-op opcode registration indices (the rows of
@@ -337,8 +295,8 @@ func newProblem(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Option
 		predBack := make([]int, ne)
 		so, po := 0, 0
 		for i := 0; i < n; i++ {
-			p.succ[i] = succBack[so:so:so+outDeg[i]]
-			p.pred[i] = predBack[po:po:po+inDeg[i]]
+			p.succ[i] = succBack[so : so : so+outDeg[i]]
+			p.pred[i] = predBack[po : po : po+inDeg[i]]
 			so += outDeg[i]
 			po += inDeg[i]
 		}

@@ -44,7 +44,7 @@ func ModuloSchedule(l *ir.Loop, m *machine.Machine, opts Options) (*Schedule, er
 // inside the MinDist/RecMII computations, so a deadline or cancel aborts a
 // pathological search promptly. The returned error wraps ctx.Err().
 func ModuloScheduleContext(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options) (*Schedule, error) {
-	return scheduleLoop(ctx, l, m, opts, AlgoIterative, nil)
+	return scheduleLoop(ctx, l, m, opts, AlgoIterative)
 }
 
 // scheduleLoop is the shared II-search driver for both scheduling
@@ -52,7 +52,7 @@ func ModuloScheduleContext(ctx context.Context, l *ir.Loop, m *machine.Machine, 
 // input validation (typed ErrInvalidLoop/ErrInvalidMachine), cancellation
 // checks, and panic containment (any internal invariant violation comes
 // back as *InternalError instead of crashing the caller).
-func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options, algo string, seed *WarmSeed) (sched *Schedule, err error) {
+func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options, algo string) (sched *Schedule, err error) {
 	if l == nil {
 		return nil, fmt.Errorf("core: %w: nil loop", ErrInvalidLoop)
 	}
@@ -85,26 +85,6 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 		budget = l.NumOps() + 1 // always enough to try each op once
 	}
 
-	// Warm start: with a structural neighbor's schedule in hand, probe its
-	// II with pre-placed operations and descend with cold attempts to the
-	// canonical answer (see warm.go). When the warm search declines (no
-	// skip possible) or falls back, control continues into the cold paths
-	// below with the probe effort already recorded in c.
-	if seed != nil && algo == AlgoIterative && opts.SearchWorkers <= 1 {
-		sched, decided, werr := p.searchWarm(sc, bounds, maxII, budget, seed, &c)
-		if decided {
-			return sched, werr
-		}
-	}
-
-	// Speculative II race: with more than one search worker and more than
-	// one candidate II, hand the whole window to the parallel driver. Its
-	// result is identical to the sequential loop below for any worker
-	// count (see parallel.go for the folding argument).
-	if w := opts.SearchWorkers; w > 1 && maxII > bounds.MII {
-		return p.searchParallel(bounds, maxII, budget, algo, w, &c)
-	}
-
 	exhausted := false
 	for ii := bounds.MII; ii <= maxII; ii++ {
 		if err := p.ctxErr(); err != nil {
@@ -125,8 +105,26 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 		// Detach the result from the pooled scratch: the state's buffers
 		// are reused by the next scheduling call.
 		times := append(make([]int, 0, len(s.times)), s.times...)
-		alts := append(make([]int, 0, len(s.alts)), s.alts...)
-		return finishSchedule(p, bounds, ii, times, alts, &c)
+		sched = &Schedule{
+			Loop:    l,
+			Machine: m,
+			Options: p.opts,
+			II:      ii,
+			MII:     bounds.MII,
+			ResMII:  bounds.ResMII,
+			Times:   times,
+			Alts:    append(make([]int, 0, len(s.alts)), s.alts...),
+			Length:  times[l.Stop()],
+			Delays:  p.delays,
+			Stats:   c,
+		}
+		if err := Check(sched); err != nil {
+			return nil, &InternalError{
+				Loop: l.Name, II: ii, Counters: c,
+				Err: fmt.Errorf("produced schedule fails verification: %w", err),
+			}
+		}
+		return sched, nil
 	}
 	return nil, &NoScheduleError{
 		Loop:            l.Name,
@@ -136,32 +134,6 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 		Attempts:        c.IIAttempts,
 		BudgetExhausted: exhausted,
 	}
-}
-
-// finishSchedule assembles and verifies the final Schedule from a
-// successful attempt's detached times/alts. Shared by the sequential
-// search loop and the speculative II race's fold step.
-func finishSchedule(p *problem, bounds *mii.Result, ii int, times, alts []int, c *Counters) (*Schedule, error) {
-	sched := &Schedule{
-		Loop:    p.loop,
-		Machine: p.mach,
-		Options: p.opts,
-		II:      ii,
-		MII:     bounds.MII,
-		ResMII:  bounds.ResMII,
-		Times:   times,
-		Alts:    alts,
-		Length:  times[p.loop.Stop()],
-		Delays:  p.delays,
-		Stats:   *c,
-	}
-	if err := Check(sched); err != nil {
-		return nil, &InternalError{
-			Loop: p.loop.Name, II: ii, Counters: *c,
-			Err: fmt.Errorf("produced schedule fails verification: %w", err),
-		}
-	}
-	return sched, nil
 }
 
 // runAttempt runs one II attempt with panic containment: an invariant
@@ -216,11 +188,11 @@ type state struct {
 	prio  []int // priority value per op
 
 	// comp holds the machine's compiled placement masks at this II
-	// (machine.Compiled, shared globally); nil when Options.ScanMRT asks
-	// for the reference scan. selfOK is the scan path's per-attempt
-	// selfConsistent memo, indexed by p.altOff[op]+ai: 0 unknown, 1
-	// consistent, 2 self-colliding. The compiled path answers the same
-	// question from the family's SelfOK bit.
+	// (machine.Compiled, shared globally); nil when a test selects the
+	// reference scan (Options.scanMRT). selfOK is the scan path's
+	// per-attempt selfConsistent memo, indexed by p.altOff[op]+ai: 0
+	// unknown, 1 consistent, 2 self-colliding. The compiled path answers
+	// the same question from the family's SelfOK bit.
 	comp   *machine.Compiled
 	selfOK []int8
 
@@ -269,57 +241,6 @@ func (s *state) iterativeSchedule(budget int) (attemptOutcome, error) {
 	s.scheduleAt(p.loop.Start(), 0, 0)
 	budget--
 
-	outcome, err := s.drive(budget)
-	if err != nil || outcome != attemptScheduled {
-		return outcome, err
-	}
-	p.counters.SchedStepsFinal += p.counters.SchedSteps - stepsAtEntry
-	return attemptScheduled, nil
-}
-
-// assignPriority fills s.prio for this attempt according to the
-// configured priority kind. Shared by the cold and warm attempt drivers.
-func (s *state) assignPriority() error {
-	p := s.p
-	switch p.opts.Priority {
-	case PriorityHeightR:
-		h, err := p.heightR(s.ii)
-		if err != nil {
-			return err
-		}
-		s.prio = h
-	case PriorityDepth:
-		s.prio = p.depthPriority()
-	case PriorityFIFO:
-		s.prio = p.fifoPriority()
-	case PriorityRecFirst:
-		h, err := p.heightR(s.ii)
-		if err != nil {
-			return err
-		}
-		s.prio = h
-		// Lift every operation on a non-trivial SCC above all others.
-		boost := 1
-		for _, v := range h {
-			if v > boost {
-				boost = v
-			}
-		}
-		for _, comp := range recurrenceComponents(p) {
-			for _, op := range comp {
-				s.prio[op] += boost + 1
-			}
-		}
-	default:
-		return fmt.Errorf("core: unknown priority kind %v", p.opts.Priority)
-	}
-	return nil
-}
-
-// drive is the budgeted pick/place/displace loop of Figure 3, run after
-// START (and, on warm attempts, the seeded operations) are in place.
-func (s *state) drive(budget int) (attemptOutcome, error) {
-	p := s.p
 	for steps := 0; s.unscheduled > 0 && budget > 0; steps++ {
 		// Cancellation check, amortized over scheduling steps.
 		if steps&ctxCheckMask == 0 {
@@ -357,7 +278,47 @@ func (s *state) drive(budget int) (attemptOutcome, error) {
 	if s.unscheduled > 0 {
 		return attemptBudgetExhausted, nil
 	}
+	p.counters.SchedStepsFinal += p.counters.SchedSteps - stepsAtEntry
 	return attemptScheduled, nil
+}
+
+// assignPriority fills s.prio for this attempt according to the
+// configured priority kind.
+func (s *state) assignPriority() error {
+	p := s.p
+	switch p.opts.Priority {
+	case PriorityHeightR:
+		h, err := p.heightR(s.ii)
+		if err != nil {
+			return err
+		}
+		s.prio = h
+	case PriorityDepth:
+		s.prio = p.depthPriority()
+	case PriorityFIFO:
+		s.prio = p.fifoPriority()
+	case PriorityRecFirst:
+		h, err := p.heightR(s.ii)
+		if err != nil {
+			return err
+		}
+		s.prio = h
+		// Lift every operation on a non-trivial SCC above all others.
+		boost := 1
+		for _, v := range h {
+			if v > boost {
+				boost = v
+			}
+		}
+		for _, comp := range recurrenceComponents(p) {
+			for _, op := range comp {
+				s.prio[op] += boost + 1
+			}
+		}
+	default:
+		return fmt.Errorf("core: unknown priority kind %v", p.opts.Priority)
+	}
+	return nil
 }
 
 // ctxCheckMask amortizes ctx.Err() checks: one check every
@@ -393,15 +354,6 @@ func (s *state) altSelfConsistent(op, ai int) bool {
 		s.selfOK[idx] = 2
 	}
 	return ok
-}
-
-// altFits reports whether alternative ai of op fits the MRT at time t
-// (t >= 0), via the compiled mask when available.
-func (s *state) altFits(op, t, ai int) bool {
-	if s.comp != nil {
-		return s.mrt.fitsMask(t%s.ii, &s.comp.Alts(s.p.opOrd[op])[ai])
-	}
-	return s.mrt.fits(t, s.p.opcode[op].Alternatives[ai].Table)
 }
 
 // highestPriorityOperation returns the unscheduled operation with the

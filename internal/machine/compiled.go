@@ -24,7 +24,7 @@ import (
 // placement costs at most len(Uses) word ANDs and usually one. Families
 // are immutable once built and memoized per (machine fingerprint
 // digest, II), so they are shared across operations, II attempts,
-// speculative-search workers, scratch pools, and even machine *clones*
+// concurrent scheduling calls, scratch pools, and even machine *clones*
 // (Clone preserves the fingerprint).
 
 // MaskEntry is one nonzero 64-bit word of a placement mask: Bits holds

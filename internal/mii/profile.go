@@ -59,8 +59,7 @@ const maxProfileCoeffs = 24
 // Profile holds the II-independent MinDist coefficients for one node set
 // of one loop. Build once with BuildProfile, evaluate per candidate II
 // with Eval/Diagonal; a Profile is immutable after construction and safe
-// for concurrent readers (the speculative II race shares one Profile
-// across candidate goroutines).
+// for concurrent readers.
 type Profile struct {
 	nodes []int // loop op indices covered, in matrix order
 	index []int // loop op index -> matrix row, -1 where not covered

@@ -190,8 +190,7 @@ func TestProfileMatchesFloydWarshall(t *testing.T) {
 }
 
 // TestProfileMatchesCorpus replays the checked-in regression corpus
-// through the same differential check (satellite of the cross-II
-// factoring: the corpus is what the speculative II race schedules).
+// through the same differential check.
 func TestProfileMatchesCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "regressions", "*.loop"))
 	if err != nil {

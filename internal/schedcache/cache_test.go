@@ -117,21 +117,31 @@ func TestCacheKeyStructuralIdentity(t *testing.T) {
 		t.Error("looplang round-trip changed the cache key")
 	}
 
-	wopts := opts
-	wopts.SearchWorkers = 8
-	if Key(l, m, opts) != Key(l, m, wopts) {
-		t.Error("SearchWorkers fragments the cache key; the race is bit-identical and must not")
-	}
-	sopts := opts
-	sopts.ScanMRT = true
-	if Key(l, m, opts) != Key(l, m, sopts) {
-		t.Error("ScanMRT fragments the cache key; the scan path is bit-identical and must not")
-	}
-
-	bopts := opts
-	bopts.BudgetRatio = 6
-	if Key(l, m, opts) == Key(l, m, bopts) {
-		t.Error("BudgetRatio change did not change the cache key")
+	// Every exported option changes scheduling results, so each must
+	// reach the key. An option added to core.Options without a matching
+	// term in keyWith fails here; so does one that leaves results
+	// unchanged and therefore does not belong among the options at all.
+	ot := reflect.TypeOf(opts)
+	for i := 0; i < ot.NumField(); i++ {
+		f := ot.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		changed := opts
+		v := reflect.ValueOf(&changed).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 1)
+		default:
+			t.Fatalf("Options.%s has kind %s; teach this test to vary it", f.Name, v.Kind())
+		}
+		if Key(l, m, opts) == Key(l, m, changed) {
+			t.Errorf("changing Options.%s did not change the cache key", f.Name)
+		}
 	}
 	if Key(testLoop(t, m, "ident", 3), m, opts) == Key(l, m, opts) {
 		t.Error("different loops share a cache key")

@@ -110,23 +110,19 @@ func buildOptions(spec *OptionsSpec) (core.Options, *ErrorResponse) {
 		return opts, &ErrorResponse{Kind: KindInvalid, Error: "negative max_ii"}
 	}
 	opts.MaxII = spec.MaxII
-	if spec.Workers < 0 {
-		return opts, &ErrorResponse{Kind: KindInvalid, Error: "negative workers"}
-	}
-	opts.SearchWorkers = spec.Workers
 	return opts, nil
 }
 
 // compileDeadline derives the per-compile deadline: the request's own
 // timeout when given, clamped to the server's ceiling; otherwise the
 // server default. Every loop of a batch gets its own full budget — the
-// deadline is per compile, never shared across a request's loops.
+// deadline is per compile, never shared across a request's loops. The
+// clamp compares milliseconds before converting, so a timeout too large
+// for a time.Duration cannot wrap negative.
 func (s *Server) compileDeadline(req *CompileRequest) time.Duration {
 	d := s.cfg.CompileTimeout
-	if req.TimeoutMS > 0 {
-		if rd := time.Duration(req.TimeoutMS) * time.Millisecond; rd < d {
-			d = rd
-		}
+	if ms := req.TimeoutMS; ms > 0 && ms <= d.Milliseconds() {
+		d = time.Duration(ms) * time.Millisecond
 	}
 	return d
 }

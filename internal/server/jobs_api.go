@@ -167,8 +167,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var deadline time.Time
-	if req.DeadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
+	if ms := req.DeadlineMS; ms > 0 {
+		// Clamp in milliseconds before converting: a deadline too large
+		// for a time.Duration would otherwise wrap negative and expire
+		// the job at once.
+		deadline = time.Now().Add(time.Duration(min(ms, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond)
 	}
 	st, dup, err := s.jobs.Submit(id, req.Tenant, payload, deadline)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -225,6 +226,9 @@ func TestJobsDeadlineExpiry(t *testing.T) {
 		t.Fatal("blocker not accepted")
 	}
 	_, st, _ := submitJob(t, ts.URL, JobSubmitRequest{Request: CompileRequest{Source: daxpyVariant(2)}, DeadlineMS: 1})
+	// A deadline too large for a time.Duration must clamp, not wrap
+	// negative and expire the job at once.
+	_, far, _ := submitJob(t, ts.URL, JobSubmitRequest{Request: CompileRequest{Source: daxpyVariant(3)}, DeadlineMS: math.MaxInt64})
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		status, body := getJSONBody(t, ts.URL+"/jobs/"+st.ID)
@@ -243,6 +247,14 @@ func TestJobsDeadlineExpiry(t *testing.T) {
 			}
 			if jobStatus != http.StatusGatewayTimeout || eresp.Kind != KindDeadline {
 				t.Fatalf("expired outcome: status %d kind %q", jobStatus, eresp.Kind)
+			}
+			_, body := getJSONBody(t, ts.URL+"/jobs/"+far.ID)
+			var farSt JobStatusResponse
+			if err := json.Unmarshal(body, &farSt); err != nil {
+				t.Fatal(err)
+			}
+			if farSt.State != jobs.StateQueued {
+				t.Fatalf("deadline_ms=MaxInt64 job state %q, want %q", farSt.State, jobs.StateQueued)
 			}
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -153,6 +154,16 @@ func TestDeadlineMapsTo504(t *testing.T) {
 	if item.Error == nil || item.Error.Kind != KindDeadline {
 		t.Errorf("error = %+v, want kind %q", item.Error, KindDeadline)
 	}
+
+	// A timeout too large for a time.Duration clamps to the server
+	// ceiling instead of wrapping into an already-expired deadline.
+	huge := &CompileRequest{Source: daxpySource, TimeoutMS: math.MaxInt64}
+	if d := s.compileDeadline(huge); d != s.cfg.CompileTimeout {
+		t.Errorf("compileDeadline(timeout_ms=MaxInt64) = %v, want the ceiling %v", d, s.cfg.CompileTimeout)
+	}
+	if item := s.compileItem(context.Background(), huge); item.Status != http.StatusOK {
+		t.Errorf("timeout_ms=MaxInt64: status = %d, want 200 (item: %+v)", item.Status, item)
+	}
 }
 
 func TestBadRequests(t *testing.T) {
@@ -167,14 +178,24 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("GET /compile status = %d, want 405", resp.StatusCode)
 	}
 
-	resp, err = http.Post(ts.URL+"/compile", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body status = %d, want 400 (%s)", resp.StatusCode, body)
+	// Bodies that do not strictly decode: malformed JSON, and fields the
+	// API does not have, which must be refused rather than ignored.
+	src, _ := json.Marshal(daxpySource)
+	for _, tc := range []struct{ name, body string }{
+		{"malformed", "{not json"},
+		{"top-level workers", `{"source": ` + string(src) + `, "workers": 2}`},
+		{"options.workers", `{"source": ` + string(src) + `, "options": {"workers": 2}}`},
+	} {
+		resp, err = http.Post(ts.URL+"/compile", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var eresp ErrorResponse
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &eresp) != nil || eresp.Kind != KindBadRequest {
+			t.Errorf("%s body: status = %d, want 400 %s (%s)", tc.name, resp.StatusCode, KindBadRequest, body)
+		}
 	}
 
 	status, body, _ := postJSONBody(t, ts.URL+"/compile/batch", BatchRequest{})
