@@ -268,7 +268,7 @@ func BenchmarkAblationSCC(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, _, err := mii.ResMII(l, m, nil)
+		r, err := mii.ResMII(l, m, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"modsched/internal/ir"
 	"modsched/internal/listsched"
 	"modsched/internal/machine"
-	"modsched/internal/mii"
 )
 
 // Stage names reported by Degradation, in fallback order.
@@ -163,7 +162,7 @@ func acyclicDegenerate(ctx context.Context, l *ir.Loop, m *machine.Machine, opts
 	// Report the real lower bounds when they are computable, so the
 	// degradation is visible as II >> MII; fall back to II otherwise.
 	miiVal, resMII := ii, ii
-	if bounds, berr := mii.ComputeContext(ctx, l, m, p.delays, &c.MII); berr == nil {
+	if bounds, berr := p.deps.Compute(ctx, m, p.delays, &c.MII, nil); berr == nil {
 		miiVal, resMII = bounds.MII, bounds.ResMII
 	}
 

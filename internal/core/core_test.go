@@ -387,7 +387,7 @@ func TestScheduleValidityProperty(t *testing.T) {
 		if _, err := ir.Delays(l, m, ir.VLIWDelays); err != nil {
 			return false
 		}
-		res, _, err := mii.ResMII(l, m, nil)
+		res, err := mii.ResMII(l, m, nil)
 		if err != nil {
 			return false
 		}

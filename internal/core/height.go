@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"modsched/internal/graph"
-)
+import "fmt"
 
 // heightR solves the implicit equations of Figure 5a for a given II:
 //
@@ -23,25 +19,16 @@ import (
 // succeeds everything) would keep height 0.
 //
 // Only the edge weights Delay - II*Distance depend on II; the graph
-// topology — and therefore the SCC condensation — is fixed, so it is
-// computed once per problem (condensation) and reused by every II
-// attempt. The height vector itself lives in the pooled scratch when one
-// is attached.
+// topology — and therefore the SCC condensation — is fixed, so every II
+// attempt reuses the problem's dependence analysis (p.deps). The height
+// vector itself lives in the scratch.
 func (p *problem) heightR(ii int) ([]int, error) {
-	n := p.loop.NumOps()
-	var h []int
-	if p.scratch != nil {
-		p.scratch.h = resetInts(p.scratch.h, n, 0)
-		h = p.scratch.h
-	} else {
-		h = make([]int, n)
-	}
-
-	comps := p.condensation() // reverse topological: successors appear earlier
+	p.scratch.h = resetInts(p.scratch.h, p.loop.NumOps(), 0)
+	h := p.scratch.h
 
 	relax := func(v int) bool {
 		changed := false
-		for _, ei := range p.succ[v] {
+		for _, ei := range p.deps.Succs[v] {
 			e := p.loop.Edges[ei]
 			p.counters.HeightRRelax++
 			cand := h[e.To] + p.delays[ei] - ii*e.Distance
@@ -53,8 +40,9 @@ func (p *problem) heightR(ii int) ([]int, error) {
 		return changed
 	}
 
-	for _, comp := range comps {
-		if len(comp) == 1 && !p.hasSelf[comp[0]] {
+	// Reverse topological order: successors' components come first.
+	for _, comp := range p.deps.SCCs {
+		if len(comp) == 1 && !p.deps.SelfEdge[comp[0]] {
 			relax(comp[0])
 			continue
 		}
@@ -78,18 +66,6 @@ func (p *problem) heightR(ii int) ([]int, error) {
 	return h, nil
 }
 
-// recurrenceComponents lists the non-trivial SCCs (more than one op) of
-// the dependence graph, for the recurrence-first priority ablation.
-func recurrenceComponents(p *problem) [][]int {
-	var out [][]int
-	for _, comp := range p.condensation() {
-		if len(comp) > 1 {
-			out = append(out, comp)
-		}
-	}
-	return out
-}
-
 // depthPriority is the ablation priority: heights computed with the
 // distance terms dropped (inter-iteration edges ignored), i.e. the plain
 // acyclic list-scheduling height over the distance-0 subgraph. It is
@@ -101,27 +77,38 @@ func (p *problem) depthPriority() []int {
 	n := p.loop.NumOps()
 	h := make([]int, n)
 	p.depthPrio = h
-	deg := make([]int, n)
+	// Topological order of the distance-0 subgraph (Kahn). Any order
+	// yields the same heights: each is a longest path to the sinks.
+	indeg := make([]int, n)
 	for _, e := range p.loop.Edges {
 		if e.Distance == 0 {
-			deg[e.From]++
+			indeg[e.To]++
 		}
 	}
-	g := graph.NewDegreed(n, deg)
-	for _, e := range p.loop.Edges {
-		if e.Distance == 0 {
-			g.AddEdge(e.From, e.To)
+	order := make([]int, 0, n)
+	for v, d := range indeg {
+		if d == 0 {
+			order = append(order, v)
 		}
 	}
-	order, ok := g.Topo()
-	if !ok {
+	for i := 0; i < len(order); i++ {
+		for _, ei := range p.deps.Succs[order[i]] {
+			if e := p.loop.Edges[ei]; e.Distance == 0 {
+				indeg[e.To]--
+				if indeg[e.To] == 0 {
+					order = append(order, e.To)
+				}
+			}
+		}
+	}
+	if len(order) < n {
 		// A distance-0 cycle is invalid; fall back to zero heights (the
 		// scheduler will still be correct, only slower).
 		return h
 	}
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
-		for _, ei := range p.succ[v] {
+		for _, ei := range p.deps.Succs[v] {
 			e := p.loop.Edges[ei]
 			if e.Distance != 0 {
 				continue

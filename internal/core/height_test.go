@@ -9,6 +9,20 @@ import (
 	"modsched/internal/mii"
 )
 
+// heightProblem prepares l's scheduling problem with a fresh scratch
+// attached (heightR writes its output there), as scheduleLoop does with a
+// pooled one.
+func heightProblem(t *testing.T, l *ir.Loop, m *machine.Machine) *problem {
+	t.Helper()
+	var c Counters
+	p, err := newProblem(nil, l, m, DefaultOptions(), &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.scratch = new(scratch)
+	return p
+}
+
 // TestHeightREqualsMinDistToStop verifies the paper's identity: HeightR(P)
 // is exactly MinDist[P, STOP] (Section 3.2 notes the two are
 // interchangeable; the iterative solver is just cheaper).
@@ -17,11 +31,7 @@ func TestHeightREqualsMinDistToStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
 		l := randomLoop(t, m, rng)
-		var c Counters
-		p, err := newProblem(nil, l, m, DefaultOptions(), &c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := heightProblem(t, l, m)
 		bounds, err := mii.Compute(l, m, p.delays, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -55,11 +65,7 @@ func TestHeightRDivergesBelowRecMII(t *testing.T) {
 		b.DefineAs(s, "fadd", s.Back(1), b.Invariant("x")) // RecMII 4
 		b.Effect("brtop")
 	})
-	var c Counters
-	p, err := newProblem(nil, l, m, DefaultOptions(), &c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := heightProblem(t, l, m)
 	if _, err := p.heightR(3); err == nil {
 		t.Error("HeightR at II below RecMII should fail")
 	}
@@ -80,11 +86,7 @@ func TestHeightRTopologicalForSimpleLoops(t *testing.T) {
 		b.Effect("store", b.Invariant("q"), z)
 		b.Effect("brtop")
 	})
-	var c Counters
-	p, err := newProblem(nil, l, m, DefaultOptions(), &c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := heightProblem(t, l, m)
 	h, err := p.heightR(4)
 	if err != nil {
 		t.Fatal(err)

@@ -141,9 +141,8 @@ func (m *mrt) selfConsistent(tab machine.ReservationTable) bool {
 // placed at t, in first-collision order. The duplicate filter is a
 // linear scan of the result (victim counts are tiny — a handful at
 // most), and the result aliases an internal buffer that is reused by the
-// next call, so steady-state calls are allocation-free. This version
-// backs tests and states without a scratch; the scheduler's hot path
-// uses state.conflictVictims.
+// next call, so steady-state calls are allocation-free. It is the test
+// reference for state.conflictVictims, which the scheduler uses.
 func (m *mrt) conflicts(t int, tab machine.ReservationTable) []int {
 	out := m.confBuf[:0]
 	for _, u := range tab.Uses {

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	"modsched/internal/graph"
 	"modsched/internal/ir"
 	"modsched/internal/machine"
 	"modsched/internal/mii"
@@ -134,23 +133,19 @@ type problem struct {
 	opts   Options
 	delays []int // per edge
 	opcode []*machine.Opcode
-	// succ/pred adjacency as edge indices, sub-sliced from one shared
-	// backing array each (CSR layout) so building them costs O(1)
-	// allocations instead of O(n) incremental appends.
-	succ, pred [][]int
-	counters   *Counters
+	// deps is the loop's dependence analysis (adjacency, SCCs, self-edge
+	// flags), shared with the MII computation.
+	deps     *mii.Deps
+	counters *Counters
 
-	// scratch holds the pooled per-attempt buffers; nil outside the
-	// scheduling entry points (tests, the acyclic fallback).
+	// scratch holds the per-attempt buffers: pooled in scheduleLoop,
+	// attached by newState in tests; nil in the acyclic fallback, which
+	// runs no II attempt.
 	scratch *scratch
 
-	// Lazily computed caches, II-independent: the dependence graph's SCC
-	// condensation (the graph topology never changes across II attempts,
-	// only the edge weights Delay - II*Distance do), self-edge flags, the
-	// static priority vectors, the all-ops node list, and the cross-II
-	// MinDist coefficient profile.
-	comps     [][]int
-	hasSelf   []bool
+	// Lazily computed caches, II-independent: the static priority
+	// vectors, the all-ops node list, and the cross-II MinDist
+	// coefficient profile.
 	fifoPrio  []int
 	depthPrio []int
 	nodesAll  []int
@@ -192,30 +187,6 @@ func (p *problem) opcodeOrder() []int {
 		}
 	}
 	return p.opOrd
-}
-
-// condensation returns the SCCs of the dependence graph in reverse
-// topological order, computed once per problem and shared by every II
-// attempt's HeightR pass (and the recurrence-first priority).
-func (p *problem) condensation() [][]int {
-	if p.comps == nil {
-		deg := make([]int, p.loop.NumOps())
-		for _, e := range p.loop.Edges {
-			deg[e.From]++
-		}
-		g := graph.NewDegreed(p.loop.NumOps(), deg)
-		for _, e := range p.loop.Edges {
-			g.AddEdge(e.From, e.To)
-		}
-		p.comps = g.SCCs()
-		p.hasSelf = make([]bool, p.loop.NumOps())
-		for _, e := range p.loop.Edges {
-			if e.From == e.To {
-				p.hasSelf[e.From] = true
-			}
-		}
-	}
-	return p.comps
 }
 
 // fifoPriority returns the program-order priority vector (earlier ops
@@ -273,37 +244,11 @@ func newProblem(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Option
 		opts:     opts,
 		delays:   delays,
 		opcode:   make([]*machine.Opcode, l.NumOps()),
-		succ:     make([][]int, l.NumOps()),
-		pred:     make([][]int, l.NumOps()),
+		deps:     mii.NewDeps(l),
 		counters: c,
 	}
 	for i, op := range l.Ops {
 		p.opcode[i] = m.MustOpcode(op.Opcode)
-	}
-	// CSR-style adjacency: count degrees, carve per-op sub-slices out of
-	// two shared backing arrays, then fill in edge order (preserving the
-	// edge-index order the schedulers iterate in).
-	n := l.NumOps()
-	if ne := len(l.Edges); ne > 0 {
-		outDeg := make([]int, n)
-		inDeg := make([]int, n)
-		for _, e := range l.Edges {
-			outDeg[e.From]++
-			inDeg[e.To]++
-		}
-		succBack := make([]int, ne)
-		predBack := make([]int, ne)
-		so, po := 0, 0
-		for i := 0; i < n; i++ {
-			p.succ[i] = succBack[so : so : so+outDeg[i]]
-			p.pred[i] = predBack[po : po : po+inDeg[i]]
-			so += outDeg[i]
-			po += inDeg[i]
-		}
-		for ei, e := range l.Edges {
-			p.succ[e.From] = append(p.succ[e.From], ei)
-			p.pred[e.To] = append(p.pred[e.To], ei)
-		}
 	}
 	return p, nil
 }

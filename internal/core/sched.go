@@ -7,7 +7,6 @@ import (
 
 	"modsched/internal/ir"
 	"modsched/internal/machine"
-	"modsched/internal/mii"
 )
 
 // Algorithm names used in errors and degradation reports.
@@ -72,7 +71,7 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 	sc := getScratch()
 	defer putScratch(sc)
 	p.scratch = sc
-	bounds, err := mii.ComputeScratch(ctx, l, m, p.delays, &c.MII, &sc.mii)
+	bounds, err := p.deps.Compute(ctx, m, p.delays, &c.MII, &sc.mii)
 	if err != nil {
 		return nil, err
 	}
@@ -205,11 +204,13 @@ type state struct {
 	forceEarly  bool // late placement disabled for the rest of the attempt
 }
 
-// newState builds a standalone state for one II attempt. Production
-// scheduling goes through scratch.newState, which reuses pooled buffers;
-// this allocating variant serves tests that construct state directly.
+// newState builds a standalone state for one II attempt on a fresh
+// scratch, which it attaches to p. Production scheduling goes through
+// scratch.newState on a pooled scratch; this allocating variant serves
+// tests that construct state directly.
 func newState(p *problem, ii int) *state {
-	return new(scratch).newState(p, ii)
+	p.scratch = new(scratch)
+	return p.scratch.newState(p, ii)
 }
 
 // iterativeSchedule is Figure 3: schedule operations highest-priority
@@ -310,7 +311,10 @@ func (s *state) assignPriority() error {
 				boost = v
 			}
 		}
-		for _, comp := range recurrenceComponents(p) {
+		for _, comp := range p.deps.SCCs {
+			if len(comp) == 1 {
+				continue
+			}
 			for _, op := range comp {
 				s.prio[op] += boost + 1
 			}
@@ -379,7 +383,7 @@ func (s *state) highestPriorityOperation() int {
 // the currently scheduled immediate predecessors.
 func (s *state) calculateEarlyStart(op int) int {
 	estart := 0
-	for _, ei := range s.p.pred[op] {
+	for _, ei := range s.p.deps.Preds[op] {
 		s.p.counters.EstartPredExams++
 		e := s.p.loop.Edges[ei]
 		if e.From == op {
@@ -402,7 +406,7 @@ func (s *state) calculateEarlyStart(op int) int {
 func (s *state) calculateLateStart(op int) int {
 	const inf = int(^uint(0) >> 2)
 	lstart := inf
-	for _, ei := range s.p.succ[op] {
+	for _, ei := range s.p.deps.Succs[op] {
 		e := s.p.loop.Edges[ei]
 		if e.To == op {
 			continue
@@ -536,7 +540,7 @@ func (s *state) scheduleAt(op, slot, alt int) {
 	// Dependence displacement: successors scheduled too early relative to
 	// the new placement. (Predecessor constraints were honored through
 	// Estart; the forced slot is never below Estart.)
-	for _, ei := range p.succ[op] {
+	for _, ei := range p.deps.Succs[op] {
 		e := p.loop.Edges[ei]
 		if e.To == op {
 			continue

@@ -111,17 +111,11 @@ func (sc *scratch) newState(p *problem, ii int) *state {
 }
 
 // conflictVictims returns the distinct ops whose MRT reservations collide
-// with tab placed at slot. It replaces the old mrt.conflicts, which
-// allocated a result slice and a seen-map per call — one pair per
-// scheduling step and per forced-placement alternative, the single
-// largest allocation source of the scheduler's inner loop. The returned
-// slice aliases the scratch and is valid until the next call.
+// with tab placed at slot, in the same order as its test reference
+// mrt.conflicts. The returned slice aliases the scratch and is valid
+// until the next call.
 func (s *state) conflictVictims(slot int, tab machine.ReservationTable) []int {
 	sc := s.p.scratch
-	if sc == nil {
-		// Direct state construction in tests: fall back to allocating.
-		return s.mrt.conflicts(slot, tab)
-	}
 	sc.conflictEpoch++
 	epoch := sc.conflictEpoch
 	buf := sc.conflictBuf[:0]

@@ -47,17 +47,13 @@ func (s *state) slackSchedule(budget int) (attemptOutcome, error) {
 	// the coefficient cap fall back to the scalar closure per II.
 	var md *mii.MinDist
 	var err error
-	if p.scratch != nil {
-		if prof := p.profile(); prof.OK() {
-			if err = p.ctxErr(); err != nil {
-				return attemptInfeasible, err
-			}
-			md = prof.Eval(&p.scratch.mii, s.ii, &p.counters.MII)
-		} else {
-			md, err = p.scratch.mii.MinDist(p.ctx, p.loop, p.delays, s.ii, p.allNodes(), &p.counters.MII)
+	if prof := p.profile(); prof.OK() {
+		if err = p.ctxErr(); err != nil {
+			return attemptInfeasible, err
 		}
+		md = prof.Eval(&p.scratch.mii, s.ii, &p.counters.MII)
 	} else {
-		md, err = mii.ComputeMinDistContext(p.ctx, p.loop, p.delays, s.ii, p.allNodes(), &p.counters.MII)
+		md, err = p.scratch.mii.MinDist(p.ctx, p.loop, p.delays, s.ii, p.allNodes(), &p.counters.MII)
 	}
 	if err != nil {
 		return attemptInfeasible, err
@@ -110,12 +106,12 @@ func (s *state) slackSchedule(budget int) (attemptOutcome, error) {
 		// Direction: more placed successors than predecessors => the op's
 		// value feeds backward pressure; place late. Otherwise early.
 		placedSucc, placedPred := 0, 0
-		for _, ei := range p.succ[op] {
+		for _, ei := range p.deps.Succs[op] {
 			if e := p.loop.Edges[ei]; e.To != op && s.times[e.To] != -1 {
 				placedSucc++
 			}
 		}
-		for _, ei := range p.pred[op] {
+		for _, ei := range p.deps.Preds[op] {
 			if e := p.loop.Edges[ei]; e.From != op && s.times[e.From] != -1 {
 				placedPred++
 			}

@@ -149,18 +149,33 @@ func (l *Loop) VariantRegs() map[Reg]bool {
 	return set
 }
 
-// Adjacency is a precomputed successor/predecessor view of a Loop's edges.
+// Adjacency is the successor/predecessor view of a Loop's edges.
 type Adjacency struct {
-	// Succs[i] and Preds[i] list indices into Loop.Edges.
+	// Succs[i] and Preds[i] list indices into Loop.Edges, in edge order.
+	// Each is sub-sliced from one shared backing array (CSR layout), so
+	// building them costs O(1) allocations instead of O(n) appends.
 	Succs, Preds [][]int
 }
 
 // BuildAdjacency computes successor and predecessor edge lists per
 // operation.
-func (l *Loop) BuildAdjacency() *Adjacency {
-	a := &Adjacency{
-		Succs: make([][]int, len(l.Ops)),
-		Preds: make([][]int, len(l.Ops)),
+func (l *Loop) BuildAdjacency() Adjacency {
+	n := len(l.Ops)
+	a := Adjacency{Succs: make([][]int, n), Preds: make([][]int, n)}
+	outDeg := make([]int, n)
+	inDeg := make([]int, n)
+	for _, e := range l.Edges {
+		outDeg[e.From]++
+		inDeg[e.To]++
+	}
+	succBack := make([]int, len(l.Edges))
+	predBack := make([]int, len(l.Edges))
+	so, po := 0, 0
+	for i := 0; i < n; i++ {
+		a.Succs[i] = succBack[so : so : so+outDeg[i]]
+		a.Preds[i] = predBack[po : po : po+inDeg[i]]
+		so += outDeg[i]
+		po += inDeg[i]
 	}
 	for ei, e := range l.Edges {
 		a.Succs[e.From] = append(a.Succs[e.From], ei)
@@ -170,8 +185,9 @@ func (l *Loop) BuildAdjacency() *Adjacency {
 }
 
 // Validate checks structural invariants: START/STOP bracketing, opcode
-// existence on m (when m is non-nil), edge endpoints in range, non-negative
-// distances, and IDs consistent with positions.
+// existence on m (when m is non-nil), edge endpoints in range, no edge
+// into START or out of STOP, non-negative distances, and IDs consistent
+// with positions.
 func (l *Loop) Validate(m *machine.Machine) error {
 	if len(l.Ops) < 2 {
 		return fmt.Errorf("loop %s: must contain START and STOP", l.Name)
@@ -210,6 +226,9 @@ func (l *Loop) Validate(m *machine.Machine) error {
 	for ei, e := range l.Edges {
 		if e.From < 0 || e.From >= len(l.Ops) || e.To < 0 || e.To >= len(l.Ops) {
 			return fmt.Errorf("loop %s: edge %d endpoints (%d,%d) out of range", l.Name, ei, e.From, e.To)
+		}
+		if e.To == l.Start() || e.From == l.Stop() {
+			return fmt.Errorf("loop %s: edge %d (%d,%d) enters START or leaves STOP", l.Name, ei, e.From, e.To)
 		}
 		if e.Distance < 0 {
 			return fmt.Errorf("loop %s: edge %d has negative distance %d", l.Name, ei, e.Distance)

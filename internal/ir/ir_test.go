@@ -244,29 +244,25 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	bad := l.Clone()
-	bad.Edges = append(bad.Edges, Edge{From: 0, To: 99})
-	if err := bad.Validate(m); err == nil {
-		t.Error("out-of-range edge accepted")
+	stop := l.Stop()
+	cases := []struct {
+		name    string
+		corrupt func(*Loop)
+	}{
+		{"out-of-range edge", func(l *Loop) { l.Edges = append(l.Edges, Edge{From: 0, To: 99}) }},
+		{"negative distance", func(l *Loop) { l.Edges = append(l.Edges, Edge{From: 1, To: 1, Distance: -1}) }},
+		{"edge into START", func(l *Loop) { l.Edges = append(l.Edges, Edge{From: 1, To: 0, Distance: 1}) }},
+		{"edge out of STOP", func(l *Loop) { l.Edges = append(l.Edges, Edge{From: stop, To: 1, Distance: 1}) }},
+		{"START self edge", func(l *Loop) { l.Edges = append(l.Edges, Edge{From: 0, To: 0, Distance: 1}) }},
+		{"inconsistent profile", func(l *Loop) { l.EntryFreq, l.LoopFreq = 10, 5 }},
+		{"wrong op ID", func(l *Loop) { l.Ops[1].ID = 7 }},
 	}
-
-	bad = l.Clone()
-	bad.Edges = append(bad.Edges, Edge{From: 1, To: 1, Distance: -1})
-	if err := bad.Validate(m); err == nil {
-		t.Error("negative distance accepted")
-	}
-
-	bad = l.Clone()
-	bad.EntryFreq, bad.LoopFreq = 10, 5
-	if err := bad.Validate(m); err == nil {
-		t.Error("inconsistent profile accepted")
-	}
-
-	bad = l.Clone()
-	bad.Ops[1].ID = 7
-	if err := bad.Validate(m); err == nil {
-		t.Error("wrong op ID accepted")
+	for _, tc := range cases {
+		bad := l.Clone()
+		tc.corrupt(bad)
+		if err := bad.Validate(m); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package mii
 import (
 	"context"
 
-	"modsched/internal/graph"
 	"modsched/internal/ir"
 	"modsched/internal/machine"
 )
@@ -15,9 +14,6 @@ type Result struct {
 	// MII is the production lower bound: the recurrence search seeded at
 	// ResMII, i.e. max(ResMII, RecMII) without ever probing below ResMII.
 	MII int
-	// AltChoice is the advisory alternative selection from the ResMII
-	// greedy pass (indexed by op; -1 where not applicable).
-	AltChoice []int
 	// SCCSizes holds the size of every SCC over the real (non-pseudo)
 	// operations; NonTrivialSCCs lists those with more than one operation.
 	SCCSizes       []int
@@ -27,34 +23,26 @@ type Result struct {
 // Compute runs the Section 2 analysis: ResMII, then the per-SCC
 // recurrence search seeded at ResMII. delays must come from ir.Delays.
 func Compute(l *ir.Loop, m *machine.Machine, delays []int, c *Counters) (*Result, error) {
-	return ComputeContext(nil, l, m, delays, c)
+	return NewDeps(l).Compute(nil, m, delays, c, nil)
 }
 
-// ComputeContext is Compute with cancellation: ctx.Err() is checked inside
-// the MinDist closures of the recurrence search (the only super-linear part
-// of the analysis). A nil ctx disables the checks.
-func ComputeContext(ctx context.Context, l *ir.Loop, m *machine.Machine, delays []int, c *Counters) (*Result, error) {
-	return ComputeScratch(ctx, l, m, delays, c, nil)
-}
-
-// ComputeScratch is ComputeContext with caller-owned MinDist buffers,
-// reused across the recurrence search's feasibility probes. A nil ws uses
-// a call-local scratch.
-func ComputeScratch(ctx context.Context, l *ir.Loop, m *machine.Machine, delays []int, c *Counters, ws *Scratch) (*Result, error) {
-	resMII, choice, err := ResMII(l, m, c)
+// Compute is the package-level Compute over a prebuilt analysis, with
+// cancellation and caller-owned MinDist buffers. ctx.Err() is checked
+// inside the MinDist closures of the recurrence search (the only
+// super-linear part of the analysis); a nil ctx disables the checks. ws
+// is reused across the search's feasibility probes; a nil ws uses a
+// call-local scratch.
+func (d *Deps) Compute(ctx context.Context, m *machine.Machine, delays []int, c *Counters, ws *Scratch) (*Result, error) {
+	resMII, err := ResMII(d.Loop, m, c)
 	if err != nil {
 		return nil, err
 	}
-	miiVal, err := RecurrenceMIIScratch(ctx, l, delays, resMII, c, ws)
+	miiVal, err := d.RecurrenceMII(ctx, delays, resMII, c, ws)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		ResMII:    resMII,
-		MII:       miiVal,
-		AltChoice: choice,
-	}
-	res.SCCSizes, res.NonTrivialSCCs = realSCCs(l)
+	res := &Result{ResMII: resMII, MII: miiVal}
+	res.SCCSizes, res.NonTrivialSCCs = d.realSCCs()
 	return res, nil
 }
 
@@ -64,35 +52,4 @@ func ComputeScratch(ctx context.Context, l *ir.Loop, m *machine.Machine, delays 
 // ResMII).
 func ExactRecMII(l *ir.Loop, delays []int, c *Counters) (int, error) {
 	return RecurrenceMII(l, delays, 1, c)
-}
-
-// realSCCs computes SCC statistics over the real operations only
-// (pseudo-ops excluded, matching the paper's loop statistics).
-func realSCCs(l *ir.Loop) (sizes []int, nonTrivial [][]int) {
-	n := l.NumOps()
-	start, stop := l.Start(), l.Stop()
-	deg := make([]int, n)
-	for _, e := range l.Edges {
-		if e.From == start || e.To == stop || e.From == stop || e.To == start {
-			continue
-		}
-		deg[e.From]++
-	}
-	g := graph.NewDegreed(n, deg)
-	for _, e := range l.Edges {
-		if e.From == start || e.To == stop || e.From == stop || e.To == start {
-			continue
-		}
-		g.AddEdge(e.From, e.To)
-	}
-	for _, comp := range g.SCCs() {
-		if len(comp) == 1 && (comp[0] == start || comp[0] == stop) {
-			continue
-		}
-		sizes = append(sizes, len(comp))
-		if len(comp) > 1 {
-			nonTrivial = append(nonTrivial, comp)
-		}
-	}
-	return sizes, nonTrivial
 }

@@ -35,7 +35,7 @@ func TestResMIICountsMostUsedResource(t *testing.T) {
 		b.Effect("store", p, z)
 		b.Effect("brtop")
 	})
-	res, _, err := ResMII(l, m, nil)
+	res, err := ResMII(l, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,21 +55,13 @@ func TestResMIIUsesAlternatives(t *testing.T) {
 		}
 		b.Effect("brtop")
 	})
-	res, choice, err := ResMII(l, m, nil)
+	res, err := ResMII(l, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Without spreading over both alternatives the bound would be 4.
 	if res != 2 {
 		t.Errorf("ResMII = %d, want 2 (4 loads over 2 ports)", res)
-	}
-	alts := map[int]int{}
-	for _, op := range l.RealOps() {
-		if op.Opcode == "load" {
-			alts[choice[op.ID]]++
-		}
-	}
-	if alts[0] != 2 || alts[1] != 2 {
-		t.Errorf("greedy alternative selection unbalanced: %v", alts)
 	}
 }
 
@@ -80,7 +72,7 @@ func TestResMIIDivDominates(t *testing.T) {
 		b.Define("fdiv", a, a)
 		b.Effect("brtop")
 	})
-	res, _, err := ResMII(l, m, nil)
+	res, err := ResMII(l, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +324,7 @@ func TestMIIMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		l, delays := randomRecurrentLoop(t, m, rng)
-		res, _, err := ResMII(l, m, nil)
+		res, err := ResMII(l, m, nil)
 		if err != nil {
 			return false
 		}

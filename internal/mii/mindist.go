@@ -87,7 +87,10 @@ type Scratch struct {
 func (ws *Scratch) Reset() { ws.md = MinDist{} }
 
 // MinDist computes the matrix into the scratch's reusable buffers. See
-// ComputeMinDistContext for the semantics.
+// ComputeMinDist for the semantics. ctx.Err() is checked once per outer
+// Floyd-Warshall iteration (O(n) checks against O(n^3) work), so a
+// deadline interrupts even a whole-graph closure on a large loop
+// promptly; a nil ctx disables the checks.
 func (ws *Scratch) MinDist(ctx context.Context, l *ir.Loop, delays []int, ii int, nodes []int, c *Counters) (*MinDist, error) {
 	md := &ws.md
 	nOps := l.NumOps()
@@ -175,26 +178,12 @@ func (ws *Scratch) MinDist(ctx context.Context, l *ir.Loop, delays []int, ii int
 // e from i to j. Closure: max-plus Floyd-Warshall (the minimal
 // cost-to-time-ratio-cycle formulation of Huff). O(n^3); the innermost
 // relaxation count is recorded in c.MinDistInner.
-func ComputeMinDist(l *ir.Loop, delays []int, ii int, nodes []int, c *Counters) *MinDist {
-	md, _ := ComputeMinDistContext(nil, l, delays, ii, nodes, c) // nil ctx: cannot fail
-	return md
-}
-
-// ComputeMinDistContext is ComputeMinDist with cancellation: ctx.Err() is
-// checked once per outer Floyd-Warshall iteration (O(n) checks against
-// O(n^3) work), so a deadline interrupts even a whole-graph closure on a
-// large loop promptly. A nil ctx disables the checks.
 //
 // Each call allocates a fresh matrix; hot paths that probe many IIs
 // should hold a Scratch and call its MinDist method instead.
-func ComputeMinDistContext(ctx context.Context, l *ir.Loop, delays []int, ii int, nodes []int, c *Counters) (*MinDist, error) {
-	var ws Scratch
-	md, err := ws.MinDist(ctx, l, delays, ii, nodes, c)
-	if err != nil {
-		return nil, err
-	}
-	out := *md // detach from the scratch so the result owns its buffers
-	return &out, nil
+func ComputeMinDist(l *ir.Loop, delays []int, ii int, nodes []int, c *Counters) *MinDist {
+	md, _ := new(Scratch).MinDist(nil, l, delays, ii, nodes, c) // nil ctx: cannot fail
+	return md
 }
 
 // AllNodes returns 0..NumOps-1, the node set for a whole-graph MinDist.

@@ -95,7 +95,7 @@ func checkProfileAllIIs(t *testing.T, l *ir.Loop, delays []int, nodes []int) {
 // MinDist machinery (only non-trivial ones), plus the whole graph.
 func sccNodeSets(l *ir.Loop) [][]int {
 	sets := [][]int{AllNodes(l)}
-	for _, scc := range depGraph(l).SCCs() {
+	for _, scc := range NewDeps(l).SCCs {
 		if len(scc) > 1 {
 			sets = append(sets, scc)
 		}

@@ -4,45 +4,34 @@ import (
 	"context"
 	"fmt"
 
-	"modsched/internal/graph"
 	"modsched/internal/ir"
 	"modsched/internal/scherr"
 )
 
-// depGraph builds the dependence graph over all loop operations
-// (pseudo-ops included; they can never be on circuits).
-func depGraph(l *ir.Loop) *graph.Graph {
-	deg := make([]int, l.NumOps())
-	for _, e := range l.Edges {
-		deg[e.From]++
-	}
-	g := graph.NewDegreed(l.NumOps(), deg)
-	for _, e := range l.Edges {
-		g.AddEdge(e.From, e.To)
-	}
-	return g
-}
-
 // selfEdgeRecMII returns the recurrence constraint implied by the
 // reflexive edges of a single operation, and an error if any zero-distance
 // self edge has positive delay (unschedulable at any II).
-func selfEdgeRecMII(l *ir.Loop, delays []int, op int) (int, error) {
+func (d *Deps) selfEdgeRecMII(delays []int, op int) (int, error) {
+	if !d.SelfEdge[op] {
+		return 0, nil
+	}
 	rec := 0
-	for ei, e := range l.Edges {
-		if e.From != op || e.To != op {
+	for _, ei := range d.Succs[op] {
+		e := d.Loop.Edges[ei]
+		if e.To != op {
 			continue
 		}
-		d := delays[ei]
+		delay := delays[ei]
 		if e.Distance == 0 {
-			if d > 0 {
+			if delay > 0 {
 				return 0, fmt.Errorf("mii: loop %s: op %d has zero-distance self dependence with delay %d: %w",
-					l.Name, op, d, scherr.ErrNoSchedule)
+					d.Loop.Name, op, delay, scherr.ErrNoSchedule)
 			}
 			continue
 		}
-		// Smallest II with d - II*dist <= 0, i.e. II >= ceil(d/dist).
-		if d > 0 {
-			if r := (d + e.Distance - 1) / e.Distance; r > rec {
+		// Smallest II with delay - II*dist <= 0, i.e. II >= ceil(delay/dist).
+		if delay > 0 {
+			if r := (delay + e.Distance - 1) / e.Distance; r > rec {
 				rec = r
 			}
 		}
@@ -168,36 +157,30 @@ func maxIIBound(delays []int) int {
 // Single-operation SCCs are handled by the closed-form reflexive-edge
 // bound without invoking ComputeMinDist.
 func RecurrenceMII(l *ir.Loop, delays []int, start int, c *Counters) (int, error) {
-	return RecurrenceMIIContext(nil, l, delays, start, c)
+	return NewDeps(l).RecurrenceMII(nil, delays, start, c, nil)
 }
 
-// RecurrenceMIIContext is RecurrenceMII with cancellation: the context is
-// checked inside every MinDist closure of the per-SCC search. A nil ctx
-// disables the checks.
-func RecurrenceMIIContext(ctx context.Context, l *ir.Loop, delays []int, start int, c *Counters) (int, error) {
-	return RecurrenceMIIScratch(ctx, l, delays, start, c, nil)
-}
-
-// RecurrenceMIIScratch is RecurrenceMIIContext with caller-owned MinDist
-// buffers: every feasibility probe of every SCC shares ws. A nil ws uses
-// a call-local scratch (one allocation set for the whole search).
-func RecurrenceMIIScratch(ctx context.Context, l *ir.Loop, delays []int, start int, c *Counters, ws *Scratch) (int, error) {
+// RecurrenceMII is the package-level RecurrenceMII over a prebuilt
+// analysis, with cancellation (ctx is checked inside every MinDist
+// closure; nil disables the checks) and caller-owned MinDist buffers
+// shared by every feasibility probe of every SCC (nil uses a call-local
+// scratch).
+func (d *Deps) RecurrenceMII(ctx context.Context, delays []int, start int, c *Counters, ws *Scratch) (int, error) {
+	l := d.Loop
 	if len(delays) != len(l.Edges) {
 		return 0, fmt.Errorf("mii: loop %s: %d delays for %d edges: %w", l.Name, len(delays), len(l.Edges), scherr.ErrInvalidLoop)
 	}
 	if ws == nil {
 		ws = &Scratch{}
 	}
-	g := depGraph(l)
-	comps := g.SCCs()
 	maxII := maxIIBound(delays)
 	running := start
 	if running < 1 {
 		running = 1
 	}
-	for _, scc := range comps {
+	for _, scc := range d.SCCs {
 		if len(scc) == 1 {
-			rec, err := selfEdgeRecMII(l, delays, scc[0])
+			rec, err := d.selfEdgeRecMII(delays, scc[0])
 			if err != nil {
 				return 0, err
 			}
@@ -248,7 +231,7 @@ func RecMIIByCircuits(l *ir.Loop, delays []int, circuitLimit int) (int, bool, er
 // deadline reaches the potentially exponential enumeration just as it
 // already reaches the MinDist closures. A nil ctx disables the checks.
 func RecMIIByCircuitsContext(ctx context.Context, l *ir.Loop, delays []int, circuitLimit int) (int, bool, error) {
-	g := depGraph(l)
+	g := NewDeps(l).g
 	// Collapse parallel edges by keeping, per (from,to,distance), the max
 	// delay; Johnson enumerates vertex sequences, so for correctness with
 	// parallel edges we instead evaluate all combinations via per-pair

@@ -37,34 +37,23 @@ type Counters struct {
 // of alternatives (degrees of freedom); for each, the alternative that
 // minimizes the resulting most-used resource count is selected and its
 // usage committed. The final most-used resource count is the ResMII.
-//
-// The returned choice slice maps each op index to the selected alternative
-// (or -1 for pseudo-ops); it is advisory — the scheduler is free to pick
-// differently.
-func ResMII(l *ir.Loop, m *machine.Machine, c *Counters) (int, []int, error) {
-	type entry struct {
-		op   int
-		alts []machine.Alternative
-	}
-	entries := make([]entry, 0, l.NumRealOps())
-	choice := make([]int, l.NumOps())
-	for i := range choice {
-		choice[i] = -1
-	}
+func ResMII(l *ir.Loop, m *machine.Machine, c *Counters) (int, error) {
+	// entries holds each resource-using op's alternatives.
+	entries := make([][]machine.Alternative, 0, l.NumRealOps())
 	for _, op := range l.RealOps() {
 		oc, ok := m.Opcode(op.Opcode)
 		if !ok {
-			return 0, nil, fmt.Errorf("mii: loop %s: unknown opcode %q", l.Name, op.Opcode)
+			return 0, fmt.Errorf("mii: loop %s: unknown opcode %q", l.Name, op.Opcode)
 		}
 		if len(oc.Alternatives) == 1 && len(oc.Alternatives[0].Table.Uses) == 0 {
 			continue // resource-free operation
 		}
-		entries = append(entries, entry{op: op.ID, alts: oc.Alternatives})
+		entries = append(entries, oc.Alternatives)
 	}
 	// Radix-like stable sort by number of alternatives, ascending; ties
 	// keep program order for determinism.
 	sort.SliceStable(entries, func(i, j int) bool {
-		return len(entries[i].alts) < len(entries[j].alts)
+		return len(entries[i]) < len(entries[j])
 	})
 
 	usage := make([]int, m.NumResources())
@@ -74,9 +63,9 @@ func ResMII(l *ir.Loop, m *machine.Machine, c *Counters) (int, []int, error) {
 	perRes := make([]int, m.NumResources())
 	touched := make([]machine.Resource, 0, 8)
 	maxUsage := 0
-	for _, e := range entries {
+	for _, alts := range entries {
 		bestAlt, bestPeak := -1, -1
-		for ai, alt := range e.alts {
+		for ai, alt := range alts {
 			if c != nil {
 				c.ResMIIInspections++
 			}
@@ -99,17 +88,16 @@ func ResMII(l *ir.Loop, m *machine.Machine, c *Counters) (int, []int, error) {
 				bestAlt, bestPeak = ai, peak
 			}
 		}
-		alt := e.alts[bestAlt]
+		alt := alts[bestAlt]
 		for _, u := range alt.Table.Uses {
 			usage[u.Resource]++
 			if usage[u.Resource] > maxUsage {
 				maxUsage = usage[u.Resource]
 			}
 		}
-		choice[e.op] = bestAlt
 	}
 	if maxUsage < 1 {
 		maxUsage = 1
 	}
-	return maxUsage, choice, nil
+	return maxUsage, nil
 }
