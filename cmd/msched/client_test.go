@@ -79,6 +79,7 @@ func TestServerModeMatchesLocal(t *testing.T) {
 		{"machine file", append([]string{"-machine", "../../testdata/machines/simd64.mach"}, paths[0]), ""},
 		{"parse error", nil, "loop broken\nnonsense\n"},
 		{"infeasible", nil, impossibleLoop},
+		{"zero-distance cycle", nil, zeroCycleLoop},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

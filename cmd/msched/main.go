@@ -56,12 +56,11 @@ import (
 	"modsched/internal/codegen"
 	"modsched/internal/core"
 	"modsched/internal/ir"
-	"modsched/internal/listsched"
 	"modsched/internal/looplang"
 	"modsched/internal/machine"
-	"modsched/internal/mii"
 	"modsched/internal/modvar"
 	"modsched/internal/schedcache"
+	"modsched/internal/server"
 )
 
 // Exit codes, one per failure class, so scripts can dispatch without
@@ -312,23 +311,6 @@ func compileOne(ctx context.Context, src string, m *machine.Machine, opts core.O
 		fmt.Fprintln(stdout)
 	}
 
-	dl, err := ir.Delays(loop, m, opts.DelayModel)
-	if err != nil {
-		return fail(exitOther, "%v", err)
-	}
-	bounds, err := mii.Compute(loop, m, dl, nil)
-	if err != nil {
-		return fail(schedExit(err), "%v", err)
-	}
-	ls, err := listsched.Schedule(loop, m, dl)
-	if err != nil {
-		return fail(exitOther, "%v", err)
-	}
-
-	fmt.Fprintf(stdout, "loop %s: %d operations, %d edges\n", loop.Name, loop.NumRealOps(), len(loop.Edges))
-	fmt.Fprintf(stdout, "ResMII=%d MII=%d non-trivial SCCs=%d acyclic-list SL=%d\n",
-		bounds.ResMII, bounds.MII, len(bounds.NonTrivialSCCs), ls.Length)
-
 	// memo routes the scheduling step through the cache when one is
 	// enabled; errors are never cached, so the deadline fallback below
 	// still runs per input.
@@ -339,9 +321,9 @@ func compileOne(ctx context.Context, src string, m *machine.Machine, opts core.O
 		return cache.Do(loop, m, opts, compile)
 	}
 	var sched *core.Schedule
+	var deg *core.Degradation
 	switch {
 	case f.besteffort:
-		var deg *core.Degradation
 		sched, deg, err = memo(func() (*core.Schedule, *core.Degradation, error) {
 			return core.ModuloScheduleBestEffort(ctx, loop, m, opts)
 		})
@@ -353,6 +335,11 @@ func compileOne(ctx context.Context, src string, m *machine.Machine, opts core.O
 			// degradation deterministically — the report must not race the
 			// timer.
 			fallback, aerr := core.ModuloScheduleAcyclic(context.Background(), loop, m, opts)
+			if errors.Is(aerr, core.ErrNoSchedule) {
+				// The analysis proves no II can work: that, not the
+				// deadline, is the answer.
+				return fail(schedExit(aerr), "%v", aerr)
+			}
 			if aerr != nil {
 				return fail(schedExit(err), "deadline of %v expired and acyclic fallback failed: %v (deadline error: %v)", f.timeout, aerr, err)
 			}
@@ -362,11 +349,6 @@ func compileOne(ctx context.Context, src string, m *machine.Machine, opts core.O
 				Failures: []core.StageFailure{{Stage: "pipelined stages", Err: err}},
 			}
 			err = nil
-		}
-		if err == nil && deg.Degraded() {
-			// Flush the report before any schedule output, so it is emitted
-			// even if a later lowering step fails.
-			fmt.Fprintf(stderr, "msched: warning: %s\n", deg)
 		}
 	case f.algo == "slack":
 		sched, _, err = memo(func() (*core.Schedule, *core.Degradation, error) {
@@ -385,8 +367,16 @@ func compileOne(ctx context.Context, src string, m *machine.Machine, opts core.O
 		}
 		return fail(schedExit(err), "%v", err)
 	}
-	fmt.Fprintf(stdout, "II=%d (DeltaII=%d) SL=%d stages=%d scheduling steps=%d\n\n",
-		sched.II, sched.II-sched.MII, sched.Length, sched.StageCount(), sched.Stats.SchedSteps)
+	summary, err := server.NewCompileResponse(sched, deg)
+	if err != nil {
+		return fail(exitUsage, "%v", err)
+	}
+	if summary.Degradation != nil {
+		// Flush the report before any schedule output, so it is emitted
+		// even if a later lowering step fails.
+		fmt.Fprintf(stderr, "msched: warning: %s\n", summary.Degradation.Message)
+	}
+	summary.RenderSummary(stdout)
 
 	if f.verbose {
 		printScheduleTable(stdout, sched)

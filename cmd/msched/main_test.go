@@ -35,6 +35,17 @@ brtop
 !mem b -> a dist 0
 `
 
+// A distance-0 cycle with negative total delay: the modulo schedulers
+// accept it, but the acyclic list-scheduling baseline the summary
+// reports cannot, so the loop is invalid input.
+const zeroCycleLoop = `
+loop zc
+a: x = add p
+b: y = add x
+brtop
+!mem b -> a dist 0 delay -20
+`
+
 func runCase(t *testing.T, args []string, stdin string) (code int, stdout, stderr string) {
 	t.Helper()
 	var out, errb bytes.Buffer
@@ -64,8 +75,12 @@ func TestRunExitCodes(t *testing.T) {
 		{"parse error", nil, "loop l\nx = warp p\nbrtop\n", exitParse, "line 2"},
 		{"empty input", nil, "", exitParse, "missing 'loop NAME' header"},
 		{"no schedule", nil, impossibleLoop, exitNoSched, ""},
+		{"zero-distance cycle", nil, zeroCycleLoop, exitUsage, "zero-distance dependence cycle"},
+		{"zero-distance cycle besteffort", []string{"-besteffort"}, zeroCycleLoop, exitUsage, "zero-distance dependence cycle"},
 		{"deadline", []string{"-timeout", "1ns"}, goodLoop, exitNoSched, "deadline"},
 		{"besteffort deadline", []string{"-besteffort", "-timeout", "1ns"}, goodLoop, exitOK, "schedule produced by acyclic stage"},
+		// The analysis proves no II works; the deadline is beside the point.
+		{"no schedule besteffort deadline", []string{"-besteffort", "-timeout", "1ns"}, impossibleLoop, exitNoSched, "msched: mii:"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,6 +93,11 @@ func TestRunExitCodes(t *testing.T) {
 			}
 			if code == exitOK && !strings.Contains(stdout, "II=") {
 				t.Errorf("successful run printed no schedule:\n%s", stdout)
+			}
+			// A failed compile prints nothing to stdout: the summary lines
+			// come from the schedule, as they do with -server.
+			if code != exitOK && stdout != "" {
+				t.Errorf("failed run printed to stdout:\n%s", stdout)
 			}
 			if strings.Contains(stderr, "goroutine") || strings.Contains(stderr, "panic:") {
 				t.Errorf("stderr looks like a stack trace:\n%s", stderr)

@@ -39,6 +39,9 @@ func TestSentinelsThroughEntryPoints(t *testing.T) {
 	// A loop that fails ir validation: dangling edge target.
 	bad := daxpyLoop(t, m)
 	bad.Edges[0].To = 9999
+	// Another: an edge into START, which would put START on a circuit.
+	intoStart := daxpyLoop(t, m)
+	intoStart.Edges = append(intoStart.Edges, modsched.Edge{From: 1, To: intoStart.Start(), Kind: modsched.Mem, Distance: 1})
 
 	entry := func(name string) func(*modsched.Loop, *modsched.Machine, modsched.Options) error {
 		return func(l *modsched.Loop, mm *modsched.Machine, opts modsched.Options) error {
@@ -55,11 +58,17 @@ func TestSentinelsThroughEntryPoints(t *testing.T) {
 			case "CompileBestEffort":
 				_, _, err := modsched.CompileBestEffort(l, mm, opts)
 				return err
+			case "ComputeMII":
+				_, err := modsched.ComputeMII(l, mm, opts.DelayModel)
+				return err
+			case "ListSchedules":
+				_, err := modsched.ListSchedules(l, mm, opts.DelayModel)
+				return err
 			}
 			panic("unknown entry")
 		}
 	}
-	for _, name := range []string{"Compile", "CompileSlack", "CompileContext", "CompileBestEffort"} {
+	for _, name := range []string{"Compile", "CompileSlack", "CompileContext", "CompileBestEffort", "ComputeMII", "ListSchedules"} {
 		call := entry(name)
 		t.Run(name, func(t *testing.T) {
 			if err := call(nil, m, modsched.DefaultOptions()); !errors.Is(err, modsched.ErrInvalidLoop) {
@@ -71,8 +80,11 @@ func TestSentinelsThroughEntryPoints(t *testing.T) {
 			if err := call(bad, m, modsched.DefaultOptions()); !errors.Is(err, modsched.ErrInvalidLoop) {
 				t.Errorf("dangling edge: want ErrInvalidLoop, got %v", err)
 			}
-			if name == "CompileBestEffort" {
-				return // degrades rather than reporting ErrNoSchedule
+			if err := call(intoStart, m, modsched.DefaultOptions()); !errors.Is(err, modsched.ErrInvalidLoop) {
+				t.Errorf("edge into START: want ErrInvalidLoop, got %v", err)
+			}
+			if name == "CompileBestEffort" || name == "ComputeMII" || name == "ListSchedules" {
+				return // no II search to exhaust
 			}
 			opts := modsched.DefaultOptions()
 			opts.MaxII = 1 // below daxpy's MII on Cydra5

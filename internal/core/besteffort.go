@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"modsched/internal/ir"
@@ -10,10 +9,11 @@ import (
 	"modsched/internal/machine"
 )
 
-// Stage names reported by Degradation, in fallback order.
+// Stage names reported by Degradation, in fallback order; the first two
+// also name the scheduling algorithm in errors.
 const (
-	StageIterative = AlgoIterative
-	StageSlack     = AlgoSlack
+	StageIterative = "iterative"
+	StageSlack     = "slack"
 	StageAcyclic   = "acyclic"
 )
 
@@ -55,40 +55,12 @@ func (d *Degradation) String() string {
 // passes Check. The Degradation report names the stage that succeeded and
 // carries the earlier stages' errors.
 //
-// Cancellation is respected, not degraded around: once ctx is done, the
-// chain stops and the cancellation error is returned. Invalid inputs
-// (ErrInvalidLoop, ErrInvalidMachine) also fail immediately — no fallback
-// stage could accept them either.
+// The stages share one analysis, whose errors (invalid input, a
+// zero-distance recurrence) fail the call at once; each stage's Stats
+// count it as if the stage ran alone. Cancellation is not degraded
+// around: once ctx is done, the chain returns the cancellation error.
 func ModuloScheduleBestEffort(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options) (*Schedule, *Degradation, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	deg := &Degradation{}
-	type stage struct {
-		name string
-		run  func() (*Schedule, error)
-	}
-	stages := []stage{
-		{StageIterative, func() (*Schedule, error) { return ModuloScheduleContext(ctx, l, m, opts) }},
-		{StageSlack, func() (*Schedule, error) { return ModuloScheduleSlackContext(ctx, l, m, opts) }},
-		{StageAcyclic, func() (*Schedule, error) { return acyclicDegenerate(ctx, l, m, opts) }},
-	}
-	for _, st := range stages {
-		s, err := st.run()
-		if err == nil {
-			deg.Stage = st.name
-			return s, deg, nil
-		}
-		if ctx.Err() != nil || errors.Is(err, ErrInvalidLoop) || errors.Is(err, ErrInvalidMachine) {
-			return nil, nil, err
-		}
-		deg.Failures = append(deg.Failures, StageFailure{Stage: st.name, Err: err})
-	}
-	joined := make([]error, 0, len(deg.Failures))
-	for _, f := range deg.Failures {
-		joined = append(joined, fmt.Errorf("%s: %w", f.Stage, f.Err))
-	}
-	return nil, nil, fmt.Errorf("core: loop %s: every best-effort stage failed: %w", l.Name, errors.Join(joined...))
+	return compile(ctx, l, m, opts, StageIterative, StageSlack, StageAcyclic)
 }
 
 // ModuloScheduleAcyclic runs only the final fallback stage: the acyclic
@@ -100,39 +72,29 @@ func ModuloScheduleBestEffort(ctx context.Context, l *ir.Loop, m *machine.Machin
 // a deadline of its own (cmd/msched's -besteffort does exactly that).
 // The stress harness also uses it as the differential baseline.
 func ModuloScheduleAcyclic(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options) (*Schedule, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return acyclicDegenerate(ctx, l, m, opts)
+	s, _, err := compile(ctx, l, m, opts, StageAcyclic)
+	return s, err
 }
 
-// acyclicDegenerate turns the acyclic list schedule of one iteration into
-// a legal (if entirely unpipelined) modulo schedule by choosing an II
-// large enough that (a) no reservation wraps around the MRT — so the
-// linear reservation table's conflict-freedom carries over verbatim — and
-// (b) every inter-iteration dependence edge is satisfied by the II*distance
+// acyclic turns the acyclic list schedule of one iteration into a legal
+// (if entirely unpipelined) modulo schedule by choosing an II large
+// enough that (a) no reservation wraps around the MRT — so the linear
+// reservation table's conflict-freedom carries over verbatim — and (b)
+// every inter-iteration dependence edge is satisfied by the II*distance
 // term alone. This always succeeds for loops whose distance-0 subgraph is
-// acyclic, which is exactly the precondition of list scheduling.
-func acyclicDegenerate(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options) (sched *Schedule, err error) {
-	if l == nil {
-		return nil, fmt.Errorf("core: %w: nil loop", ErrInvalidLoop)
-	}
-	if m == nil {
-		return nil, fmt.Errorf("core: loop %s: %w: nil machine", l.Name, ErrInvalidMachine)
-	}
+// acyclic, which is exactly the precondition of list scheduling. The
+// schedule reports the problem's real bounds, so the degradation is
+// visible as II >> MII. opts is the caller's, reported as given.
+func (p *problem) acyclic(opts Options) (sched *Schedule, err error) {
+	l := p.loop
 	defer RecoverToInternal(l.Name, &err)
-
-	var c Counters
-	p, err := newProblem(ctx, l, m, opts, &c)
-	if err != nil {
-		return nil, err
-	}
-	ls, err := listsched.Schedule(l, m, p.delays)
+	p.newStage()
+	ls, err := listsched.Schedule(l, p.mach, p.delays)
 	if err != nil {
 		return nil, fmt.Errorf("core: loop %s: acyclic fallback: %w", l.Name, err)
 	}
-	c.SchedSteps = ls.Steps
-	c.SchedStepsFinal = ls.Steps
+	p.counters.SchedSteps = ls.Steps
+	p.counters.SchedStepsFinal = ls.Steps
 
 	ii := ls.Length
 	if ii < 1 {
@@ -159,29 +121,10 @@ func acyclicDegenerate(ctx context.Context, l *ir.Loop, m *machine.Machine, opts
 		}
 	}
 
-	// Report the real lower bounds when they are computable, so the
-	// degradation is visible as II >> MII; fall back to II otherwise.
-	miiVal, resMII := ii, ii
-	if bounds, berr := p.deps.Compute(ctx, m, p.delays, &c.MII, nil); berr == nil {
-		miiVal, resMII = bounds.MII, bounds.ResMII
-	}
-
-	sched = &Schedule{
-		Loop:    l,
-		Machine: m,
-		Options: opts,
-		II:      ii,
-		MII:     miiVal,
-		ResMII:  resMII,
-		Times:   ls.Times,
-		Alts:    ls.Alts,
-		Length:  ls.Length,
-		Delays:  p.delays,
-		Stats:   c,
-	}
+	sched = p.schedule(opts, ii, ls.Times, ls.Alts)
 	if cerr := Check(sched); cerr != nil {
 		return nil, &InternalError{
-			Loop: l.Name, II: ii, Counters: c,
+			Loop: l.Name, II: ii, Counters: p.counters,
 			Err: fmt.Errorf("acyclic fallback schedule fails verification: %w", cerr),
 		}
 	}

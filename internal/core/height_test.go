@@ -14,12 +14,10 @@ import (
 // pooled one.
 func heightProblem(t *testing.T, l *ir.Loop, m *machine.Machine) *problem {
 	t.Helper()
-	var c Counters
-	p, err := newProblem(nil, l, m, DefaultOptions(), &c)
+	p, err := newProblem(nil, l, m, DefaultOptions(), new(scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.scratch = new(scratch)
 	return p
 }
 

@@ -30,12 +30,11 @@ func probeState(tb testing.TB, scan bool) *state {
 	}
 	opts := DefaultOptions()
 	opts.scanMRT = scan
-	var c Counters
-	p, err := newProblem(nil, best, m, opts, &c)
+	p, err := newProblem(nil, best, m, opts, new(scratch))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := newState(p, sched.II)
+	s := p.scratch.newState(p, sched.II)
 	for op, t := range sched.Times {
 		tab := p.opcode[op].Alternatives[sched.Alts[op]].Table
 		if len(tab.Uses) > 0 {

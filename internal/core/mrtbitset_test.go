@@ -22,7 +22,7 @@ import (
 func assertBitsetEqualsScan(t *testing.T, name string, l *ir.Loop, m *machine.Machine, opts Options, algo string) {
 	t.Helper()
 	run := func(o Options) (*Schedule, error) {
-		if algo == AlgoSlack {
+		if algo == StageSlack {
 			return ModuloScheduleSlack(l, m, o)
 		}
 		return ModuloSchedule(l, m, o)
@@ -78,11 +78,11 @@ func TestBitsetMatchesScanCorpus(t *testing.T) {
 		mut  func(*Options)
 		algo string
 	}{
-		{"default", func(o *Options) {}, AlgoIterative},
-		{"placelate", func(o *Options) { o.PlaceLate = true }, AlgoIterative},
-		{"restart", func(o *Options) { o.RestartOnFailure = true }, AlgoIterative},
-		{"depth", func(o *Options) { o.Priority = PriorityDepth }, AlgoIterative},
-		{"slack", func(o *Options) {}, AlgoSlack},
+		{"default", func(o *Options) {}, StageIterative},
+		{"placelate", func(o *Options) { o.PlaceLate = true }, StageIterative},
+		{"restart", func(o *Options) { o.RestartOnFailure = true }, StageIterative},
+		{"depth", func(o *Options) { o.Priority = PriorityDepth }, StageIterative},
+		{"slack", func(o *Options) {}, StageSlack},
 	}
 	for _, mk := range machines {
 		loops, err := loopgen.Generate(loopgen.Config{Seed: 9_1994, N: n, MaxOps: 40}, mk.m)
@@ -118,7 +118,7 @@ func TestBitsetMultiWordMasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range loops {
-		assertBitsetEqualsScan(t, l.Name, l, m, DefaultOptions(), AlgoIterative)
+		assertBitsetEqualsScan(t, l.Name, l, m, DefaultOptions(), StageIterative)
 	}
 }
 

@@ -27,8 +27,7 @@ func pickState(tb testing.TB, nops int, seed int64) *state {
 			best = l
 		}
 	}
-	var c Counters
-	p, err := newProblem(nil, best, m, DefaultOptions(), &c)
+	p, err := newProblem(nil, best, m, DefaultOptions(), new(scratch))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func pickState(tb testing.TB, nops int, seed int64) *state {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := newState(p, res.MII)
+	s := p.scratch.newState(p, res.MII)
 	h, err := p.heightR(s.ii)
 	if err != nil {
 		tb.Fatal(err)

@@ -125,7 +125,8 @@ func (c *Counters) Add(other *Counters) {
 	c.IIAttempts += other.IIAttempts
 }
 
-// problem is the prepared, immutable scheduling problem.
+// problem is one compile's analysis, computed once by newProblem, plus
+// the state of the stage running on it.
 type problem struct {
 	ctx    context.Context // cancellation source; nil means "never canceled"
 	loop   *ir.Loop
@@ -135,12 +136,14 @@ type problem struct {
 	opcode []*machine.Opcode
 	// deps is the loop's dependence analysis (adjacency, SCCs, self-edge
 	// flags), shared with the MII computation.
-	deps     *mii.Deps
-	counters *Counters
+	deps *mii.Deps
+	// bounds holds ResMII, MII and the SCC sizes; analysis is its effort,
+	// which newStage seeds every stage's counters with.
+	bounds   *mii.Result
+	analysis mii.Counters
+	counters Counters
 
-	// scratch holds the per-attempt buffers: pooled in scheduleLoop,
-	// attached by newState in tests; nil in the acyclic fallback, which
-	// runs no II attempt.
+	// scratch holds the analysis's and the II attempts' buffers.
 	scratch *scratch
 
 	// Lazily computed caches, II-independent: the static priority
@@ -223,34 +226,94 @@ func (p *problem) ctxErr() error {
 	return nil
 }
 
-func newProblem(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options, c *Counters) (*problem, error) {
+// testHookNewProblem, when non-nil, runs on every newProblem call. Tests
+// use it to count the analyses a compile runs.
+var testHookNewProblem func()
+
+// newProblem runs the analysis every compile starts with: validation,
+// delays, the dependence analysis and the bounds (in sc's MinDist
+// buffers). Its errors fail every stage alike.
+func newProblem(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options, sc *scratch) (p *problem, err error) {
+	if testHookNewProblem != nil {
+		testHookNewProblem()
+	}
+	delays, err := Delays(l, m, opts.DelayModel)
+	if err != nil {
+		return nil, err
+	}
+	defer RecoverToInternal(l.Name, &err)
+	if opts.BudgetRatio <= 0 {
+		opts.BudgetRatio = 2
+	}
+	p = &problem{
+		ctx:     ctx,
+		loop:    l,
+		mach:    m,
+		opts:    opts,
+		delays:  delays,
+		opcode:  make([]*machine.Opcode, l.NumOps()),
+		deps:    mii.NewDeps(l),
+		scratch: sc,
+	}
+	for i, op := range l.Ops {
+		p.opcode[i] = m.MustOpcode(op.Opcode)
+	}
+	if p.bounds, err = p.deps.Compute(ctx, m, delays, &p.analysis, &sc.mii); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Delays validates a compile's inputs and derives the per-edge delays.
+func Delays(l *ir.Loop, m *machine.Machine, model ir.DelayModel) (delays []int, err error) {
+	if l == nil {
+		return nil, fmt.Errorf("core: %w: nil loop", ErrInvalidLoop)
+	}
+	if m == nil {
+		return nil, fmt.Errorf("core: loop %s: %w: nil machine", l.Name, ErrInvalidMachine)
+	}
+	defer RecoverToInternal(l.Name, &err)
 	if err := l.Validate(m); err != nil {
 		return nil, fmt.Errorf("core: %w: %w", scherr.ErrInvalidLoop, err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("core: loop %s: %w: %w", l.Name, scherr.ErrInvalidMachine, err)
 	}
-	if opts.BudgetRatio <= 0 {
-		opts.BudgetRatio = 2
-	}
-	delays, err := ir.Delays(l, m, opts.DelayModel)
-	if err != nil {
+	if delays, err = ir.Delays(l, m, model); err != nil {
 		return nil, fmt.Errorf("core: %w: %w", scherr.ErrInvalidLoop, err)
 	}
-	p := &problem{
-		ctx:      ctx,
-		loop:     l,
-		mach:     m,
-		opts:     opts,
-		delays:   delays,
-		opcode:   make([]*machine.Opcode, l.NumOps()),
-		deps:     mii.NewDeps(l),
-		counters: c,
+	return delays, nil
+}
+
+// Analyze runs a compile's analysis alone and returns its bounds and SCC
+// statistics: the figures every Schedule of the same inputs carries.
+func Analyze(l *ir.Loop, m *machine.Machine, model ir.DelayModel) (*mii.Result, error) {
+	p, err := newProblem(nil, l, m, Options{DelayModel: model}, new(scratch))
+	if err != nil {
+		return nil, err
 	}
-	for i, op := range l.Ops {
-		p.opcode[i] = m.MustOpcode(op.Opcode)
+	return p.bounds, nil
+}
+
+// newStage resets the stage counters to the analysis effort.
+func (p *problem) newStage() { p.counters = Counters{MII: p.analysis} }
+
+// schedule builds the Schedule a stage returns from its placement.
+func (p *problem) schedule(opts Options, ii int, times, alts []int) *Schedule {
+	return &Schedule{
+		Loop:     p.loop,
+		Machine:  p.mach,
+		Options:  opts,
+		II:       ii,
+		MII:      p.bounds.MII,
+		ResMII:   p.bounds.ResMII,
+		SCCSizes: p.bounds.SCCSizes,
+		Times:    times,
+		Alts:     alts,
+		Length:   times[p.loop.Stop()],
+		Delays:   p.delays,
+		Stats:    p.counters,
 	}
-	return p, nil
 }
 
 // Schedule is a complete modulo schedule for one loop.
@@ -261,6 +324,9 @@ type Schedule struct {
 
 	// II is the achieved initiation interval; MII, ResMII the bounds.
 	II, MII, ResMII int
+	// SCCSizes holds the size of every strongly connected component over
+	// the real operations, from the same analysis as the bounds.
+	SCCSizes []int
 	// Times holds each operation's scheduled issue time (START at 0).
 	Times []int
 	// Alts holds the chosen alternative index per operation.
@@ -287,6 +353,18 @@ func (s *Schedule) StageCount() int {
 		sc = 1
 	}
 	return sc
+}
+
+// NonTrivialSCCs counts the recurrences: the SCCs of more than one
+// operation.
+func (s *Schedule) NonTrivialSCCs() int {
+	n := 0
+	for _, size := range s.SCCSizes {
+		if size > 1 {
+			n++
+		}
+	}
+	return n
 }
 
 // TimeOf returns the scheduled time of op i.

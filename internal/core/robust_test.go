@@ -85,12 +85,11 @@ func TestForcedAlternativePanicIsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c Counters
-	p, err := newProblem(nil, l, m, DefaultOptions(), &c)
+	p, err := newProblem(nil, l, m, DefaultOptions(), new(scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newState(p, 5) // gap's table self-collides at II=5
+	s := p.scratch.newState(p, 5) // gap's table self-collides at II=5
 	var gapIdx int
 	for i, op := range l.Ops {
 		if op.Opcode == "gap" {

@@ -2,17 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 
 	"modsched/internal/ir"
 	"modsched/internal/machine"
-)
-
-// Algorithm names used in errors and degradation reports.
-const (
-	AlgoIterative = "iterative"
-	AlgoSlack     = "slack"
 )
 
 // attemptOutcome classifies one II attempt.
@@ -43,38 +38,56 @@ func ModuloSchedule(l *ir.Loop, m *machine.Machine, opts Options) (*Schedule, er
 // inside the MinDist/RecMII computations, so a deadline or cancel aborts a
 // pathological search promptly. The returned error wraps ctx.Err().
 func ModuloScheduleContext(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options) (*Schedule, error) {
-	return scheduleLoop(ctx, l, m, opts, AlgoIterative)
+	s, _, err := compile(ctx, l, m, opts, StageIterative)
+	return s, err
 }
 
-// scheduleLoop is the shared II-search driver for both scheduling
-// algorithms. It contains the three robustness layers of this package:
-// input validation (typed ErrInvalidLoop/ErrInvalidMachine), cancellation
-// checks, and panic containment (any internal invariant violation comes
-// back as *InternalError instead of crashing the caller).
-func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options, algo string) (sched *Schedule, err error) {
-	if l == nil {
-		return nil, fmt.Errorf("core: %w: nil loop", ErrInvalidLoop)
-	}
-	if m == nil {
-		return nil, fmt.Errorf("core: loop %s: %w: nil machine", l.Name, ErrInvalidMachine)
-	}
-	defer RecoverToInternal(l.Name, &err)
-
-	var c Counters
-	p, err := newProblem(ctx, l, m, opts, &c)
-	if err != nil {
-		return nil, err
-	}
+// compile is every scheduling entry point: it analyzes the loop once and
+// runs the stages on that analysis until one produces a schedule. Both
+// hold the robustness layers: typed ErrInvalidLoop/ErrInvalidMachine
+// validation, cancellation checks, and panic containment (*InternalError).
+// A lone stage's error, or the one that cancels a chain, is returned as is.
+func compile(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options, stages ...string) (sched *Schedule, deg *Degradation, err error) {
 	// The pooled scratch holds every per-attempt buffer (state, MRT,
-	// HeightR, MinDist matrices); II attempts and subsequent loops reuse
-	// it instead of reallocating their working set.
+	// HeightR, MinDist matrices); the analysis, the II attempts and
+	// subsequent loops reuse it instead of reallocating their working set.
 	sc := getScratch()
 	defer putScratch(sc)
-	p.scratch = sc
-	bounds, err := p.deps.Compute(ctx, m, p.delays, &c.MII, &sc.mii)
+	p, err := newProblem(ctx, l, m, opts, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	deg = &Degradation{}
+	for _, stage := range stages {
+		if stage == StageAcyclic {
+			sched, err = p.acyclic(opts)
+		} else {
+			sched, err = p.search(stage)
+		}
+		if err == nil {
+			deg.Stage = stage
+			return sched, deg, nil
+		}
+		if len(stages) == 1 || p.ctxErr() != nil {
+			return nil, nil, err
+		}
+		deg.Failures = append(deg.Failures, StageFailure{Stage: stage, Err: err})
+	}
+	joined := make([]error, 0, len(deg.Failures))
+	for _, f := range deg.Failures {
+		joined = append(joined, fmt.Errorf("%s: %w", f.Stage, f.Err))
+	}
+	return nil, nil, fmt.Errorf("core: loop %s: every best-effort stage failed: %w", l.Name, errors.Join(joined...))
+}
+
+// search is the II search shared by both scheduling algorithms
+// (Figure 2): it runs IterativeSchedule (or the slack variant) at MII,
+// MII+1, ... up to MaxII on the problem's one analysis, with the stage's
+// own counters and panic containment.
+func (p *problem) search(algo string) (sched *Schedule, err error) {
+	defer RecoverToInternal(p.loop.Name, &err)
+	p.newStage()
+	l, opts := p.loop, p.opts
 	maxII := opts.MaxII
 	if maxII <= 0 {
 		maxII = safeMaxII(p)
@@ -85,11 +98,11 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 	}
 
 	exhausted := false
-	for ii := bounds.MII; ii <= maxII; ii++ {
+	for ii := p.bounds.MII; ii <= maxII; ii++ {
 		if err := p.ctxErr(); err != nil {
 			return nil, err
 		}
-		s := sc.newState(p, ii)
+		s := p.scratch.newState(p, ii)
 		outcome, err := s.runAttempt(algo, budget)
 		if err != nil {
 			return nil, err
@@ -103,23 +116,11 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 		}
 		// Detach the result from the pooled scratch: the state's buffers
 		// are reused by the next scheduling call.
-		times := append(make([]int, 0, len(s.times)), s.times...)
-		sched = &Schedule{
-			Loop:    l,
-			Machine: m,
-			Options: p.opts,
-			II:      ii,
-			MII:     bounds.MII,
-			ResMII:  bounds.ResMII,
-			Times:   times,
-			Alts:    append(make([]int, 0, len(s.alts)), s.alts...),
-			Length:  times[l.Stop()],
-			Delays:  p.delays,
-			Stats:   c,
-		}
+		sched = p.schedule(opts, ii, append(make([]int, 0, len(s.times)), s.times...),
+			append(make([]int, 0, len(s.alts)), s.alts...))
 		if err := Check(sched); err != nil {
 			return nil, &InternalError{
-				Loop: l.Name, II: ii, Counters: c,
+				Loop: l.Name, II: ii, Counters: p.counters,
 				Err: fmt.Errorf("produced schedule fails verification: %w", err),
 			}
 		}
@@ -128,9 +129,9 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 	return nil, &NoScheduleError{
 		Loop:            l.Name,
 		Algorithm:       algo,
-		MII:             bounds.MII,
+		MII:             p.bounds.MII,
 		MaxII:           maxII,
-		Attempts:        c.IIAttempts,
+		Attempts:        p.counters.IIAttempts,
 		BudgetExhausted: exhausted,
 	}
 }
@@ -144,7 +145,7 @@ func (s *state) runAttempt(algo string, budget int) (outcome attemptOutcome, err
 		if r := recover(); r != nil {
 			outcome = attemptInfeasible
 			err = &InternalError{
-				Loop: s.p.loop.Name, II: s.ii, Counters: *s.p.counters,
+				Loop: s.p.loop.Name, II: s.ii, Counters: s.p.counters,
 				Panic: r, Stack: debug.Stack(),
 			}
 		}
@@ -152,7 +153,7 @@ func (s *state) runAttempt(algo string, budget int) (outcome attemptOutcome, err
 	if testHookPreAttempt != nil {
 		testHookPreAttempt(s)
 	}
-	if algo == AlgoSlack {
+	if algo == StageSlack {
 		return s.slackSchedule(budget)
 	}
 	return s.iterativeSchedule(budget)
@@ -202,15 +203,6 @@ type state struct {
 
 	unscheduled int  // count of unscheduled ops
 	forceEarly  bool // late placement disabled for the rest of the attempt
-}
-
-// newState builds a standalone state for one II attempt on a fresh
-// scratch, which it attaches to p. Production scheduling goes through
-// scratch.newState on a pooled scratch; this allocating variant serves
-// tests that construct state directly.
-func newState(p *problem, ii int) *state {
-	p.scratch = new(scratch)
-	return p.scratch.newState(p, ii)
 }
 
 // iterativeSchedule is Figure 3: schedule operations highest-priority

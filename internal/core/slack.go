@@ -27,7 +27,8 @@ func ModuloScheduleSlack(l *ir.Loop, m *machine.Machine, opts Options) (*Schedul
 // ModuloScheduleSlackContext is ModuloScheduleSlack with cancellation,
 // with the same ctx.Err() checkpoints as ModuloScheduleContext.
 func ModuloScheduleSlackContext(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options) (*Schedule, error) {
-	return scheduleLoop(ctx, l, m, opts, AlgoSlack)
+	s, _, err := compile(ctx, l, m, opts, StageSlack)
+	return s, err
 }
 
 // slackSchedule runs one II attempt of the slack algorithm.

@@ -33,9 +33,9 @@ type LoopResult struct {
 	// SCC structure over the real operations.
 	SCCSizes       []int
 	NonTrivialSCCs int
-	// Scheduling effort.
-	StepsFinal, StepsTotal int64
-	Counters               core.Counters
+	// Scheduling effort; ListSteps is the acyclic list schedule's.
+	StepsFinal, StepsTotal, ListSteps int64
+	Counters                          core.Counters
 	// Profile weights.
 	EntryFreq, LoopFreq int64
 }
@@ -142,23 +142,21 @@ func runOne(ctx context.Context, l *ir.Loop, m *machine.Machine, opts core.Optio
 	if err != nil {
 		return nil, err
 	}
-	delays, err := ir.Delays(l, m, opts.DelayModel)
-	if err != nil {
-		return nil, err
-	}
 
 	lr := &LoopResult{
-		Name:       l.Name,
-		N:          l.NumRealOps(),
-		ResMII:     s.ResMII,
-		MII:        s.MII,
-		II:         s.II,
-		SL:         s.Length,
-		StepsFinal: s.Stats.SchedStepsFinal,
-		StepsTotal: s.Stats.SchedSteps,
-		Counters:   s.Stats,
-		EntryFreq:  l.EntryFreq,
-		LoopFreq:   l.LoopFreq,
+		Name:           l.Name,
+		N:              l.NumRealOps(),
+		ResMII:         s.ResMII,
+		MII:            s.MII,
+		II:             s.II,
+		SL:             s.Length,
+		StepsFinal:     s.Stats.SchedStepsFinal,
+		StepsTotal:     s.Stats.SchedSteps,
+		Counters:       s.Stats,
+		EntryFreq:      l.EntryFreq,
+		LoopFreq:       l.LoopFreq,
+		SCCSizes:       s.SCCSizes,
+		NonTrivialSCCs: s.NonTrivialSCCs(),
 	}
 	start, stop := l.Start(), l.Stop()
 	for _, e := range l.Edges {
@@ -167,16 +165,8 @@ func runOne(ctx context.Context, l *ir.Loop, m *machine.Machine, opts core.Optio
 		}
 	}
 
-	// SCC structure.
-	bounds, err := mii.Compute(l, m, delays, nil)
-	if err != nil {
-		return nil, err
-	}
-	lr.SCCSizes = bounds.SCCSizes
-	lr.NonTrivialSCCs = len(bounds.NonTrivialSCCs)
-
 	if exactRecMII {
-		rec, err := mii.ExactRecMII(l, delays, nil)
+		rec, err := mii.ExactRecMII(l, s.Delays, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -184,12 +174,13 @@ func runOne(ctx context.Context, l *ir.Loop, m *machine.Machine, opts core.Optio
 	}
 
 	// Schedule-length lower bound at the achieved II.
-	md := mii.ComputeMinDist(l, delays, s.II, mii.AllNodes(l), nil)
+	md := mii.ComputeMinDist(l, s.Delays, s.II, mii.AllNodes(l), nil)
 	minSL := md.At(start, stop)
-	ls, err := listsched.Schedule(l, m, delays)
+	ls, err := listsched.Schedule(l, m, s.Delays)
 	if err != nil {
 		return nil, err
 	}
+	lr.ListSteps = ls.Steps
 	if ls.Length > minSL {
 		minSL = ls.Length
 	}

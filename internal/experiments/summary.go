@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"modsched/internal/ir"
-	"modsched/internal/listsched"
 	"modsched/internal/machine"
 )
 
@@ -88,7 +87,7 @@ func ListVsModulo(loops []*ir.Loop, m *machine.Machine, budgetRatio float64) (li
 }
 
 // ListVsModuloWorkers is ListVsModulo with an explicit worker count.
-// Both sides run per loop in parallel; the step totals are integer sums
+// Both sides come from one corpus run; the step totals are integer sums
 // folded in input order, so they match a sequential run exactly.
 func ListVsModuloWorkers(ctx context.Context, loops []*ir.Loop, m *machine.Machine, budgetRatio float64, workers int) (listSteps, modSteps, modUnscheds int64, err error) {
 	cr, err := RunCorpusWorkers(ctx, loops, m, budgetRatio, false, workers)
@@ -96,27 +95,9 @@ func ListVsModuloWorkers(ctx context.Context, loops []*ir.Loop, m *machine.Machi
 		return 0, 0, 0, err
 	}
 	for _, r := range cr.Loops {
+		listSteps += r.ListSteps
 		modSteps += r.StepsTotal
 		modUnscheds += r.Counters.Unschedules
-	}
-	perLoop := make([]int64, len(loops))
-	err = ParallelFor(ctx, len(loops), workers, func(ctx context.Context, i int) error {
-		delays, derr := ir.Delays(loops[i], m, ir.VLIWDelays)
-		if derr != nil {
-			return derr
-		}
-		ls, lerr := listsched.Schedule(loops[i], m, delays)
-		if lerr != nil {
-			return lerr
-		}
-		perLoop[i] = ls.Steps
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	for _, s := range perLoop {
-		listSteps += s
 	}
 	return listSteps, modSteps, modUnscheds, nil
 }

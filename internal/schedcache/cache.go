@@ -29,6 +29,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -48,7 +49,8 @@ const DefaultCapacity = 4096
 
 // Stats reports cache traffic. Hits served a stored entry, Misses
 // executed the compile, Inflight joined an in-progress flight for the
-// same key, Evictions counts LRU drops.
+// same key, Evictions counts LRU drops. Misses and joins count when the
+// request completes, and not at all if the compile rejects the loop.
 type Stats struct {
 	Hits, Misses, Inflight, Evictions int64
 }
@@ -248,9 +250,9 @@ func (c *Cache) Do(l *ir.Loop, m *machine.Machine, opts core.Options, compile Co
 		return copySchedule(ent.sched, l, m), copyDegradation(ent.deg), nil
 	}
 	if f, ok := c.flights[key]; ok {
-		c.stats.Inflight++
 		c.mu.Unlock()
 		<-f.done
+		c.count(&c.stats.Inflight, f.err)
 		if f.err != nil {
 			return nil, nil, f.err
 		}
@@ -267,10 +269,8 @@ func (c *Cache) Do(l *ir.Loop, m *machine.Machine, opts core.Options, compile Co
 	sched, deg, fromDisk := c.diskGet(key, l, m, opts)
 	var err error
 	if !fromDisk {
-		c.mu.Lock()
-		c.stats.Misses++
-		c.mu.Unlock()
 		sched, deg, err = compile()
+		c.count(&c.stats.Misses, err)
 	}
 	if err == nil {
 		// The master copy is detached from the result handed to the miss
@@ -299,6 +299,18 @@ func (c *Cache) Do(l *ir.Loop, m *machine.Machine, opts core.Options, compile Co
 	}
 	c.mu.Unlock()
 	return sched, deg, err
+}
+
+// count adds a completed request to the traffic counter n, unless its
+// compile rejected the loop itself as invalid or unschedulable at every
+// II: such a loop never had a schedule to cache.
+func (c *Cache) count(n *int64, err error) {
+	if errors.Is(err, core.ErrInvalidLoop) || errors.Is(err, core.ErrInvalidMachine) || errors.Is(err, core.ErrNoSchedule) {
+		return
+	}
+	c.mu.Lock()
+	*n++
+	c.mu.Unlock()
 }
 
 // fingerprint returns the digest of m's fingerprint, memoized by
@@ -334,6 +346,7 @@ func copySchedule(s *core.Schedule, l *ir.Loop, m *machine.Machine) *core.Schedu
 	cp.Times = append([]int(nil), s.Times...)
 	cp.Alts = append([]int(nil), s.Alts...)
 	cp.Delays = append([]int(nil), s.Delays...)
+	cp.SCCSizes = append([]int(nil), s.SCCSizes...)
 	return &cp
 }
 

@@ -1,6 +1,7 @@
 package schedcache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -75,27 +76,33 @@ func TestCacheHitIsDeepCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTimes := append([]int(nil), s1.Times...)
-	// Poison every mutable part of the miss result and of a hit result.
-	for i := range s1.Times {
-		s1.Times[i] = -99
+	want := *s1
+	for _, xs := range []*[]int{&want.Times, &want.Alts, &want.Delays, &want.SCCSizes} {
+		*xs = append([]int(nil), *xs...)
 	}
+	// Poison every mutable part of the miss result and of a hit result.
+	poison := func(s *core.Schedule, v int) {
+		for _, xs := range [][]int{s.Times, s.Alts, s.Delays, s.SCCSizes} {
+			for i := range xs {
+				xs[i] = v
+			}
+		}
+	}
+	poison(s1, -99)
 	s2, _, err := c.Do(l, m, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s2.Times, wantTimes) {
-		t.Fatalf("hit observed miss caller's mutation: %v, want %v", s2.Times, wantTimes)
+	if !reflect.DeepEqual(*s2, want) {
+		t.Fatalf("hit observed miss caller's mutation: %+v, want %+v", s2, want)
 	}
-	for i := range s2.Times {
-		s2.Times[i] = -77
-	}
+	poison(s2, -77)
 	s3, _, err := c.Do(l, m, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s3.Times, wantTimes) {
-		t.Fatalf("hit observed earlier hit's mutation: %v, want %v", s3.Times, wantTimes)
+	if !reflect.DeepEqual(*s3, want) {
+		t.Fatalf("hit observed earlier hit's mutation: %+v, want %+v", s3, want)
 	}
 }
 
@@ -271,6 +278,33 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 1 {
 		t.Fatalf("stats = %+v, want 1 hit after recovery", st)
+	}
+}
+
+// TestRejectedCompilesAreNotTraffic: a compile that rejects the loop
+// itself — invalid input, or no schedule at any II — leaves the traffic
+// counters alone, while any other failure is a miss like a success.
+func TestRejectedCompilesAreNotTraffic(t *testing.T) {
+	m := machine.Cydra5()
+	l := testLoop(t, m, "rejected", 1)
+	opts := core.DefaultOptions()
+	c := New(8)
+	for _, sentinel := range []error{core.ErrNoSchedule, core.ErrInvalidLoop, core.ErrInvalidMachine} {
+		_, _, err := c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+			return nil, nil, fmt.Errorf("rejected: %w", sentinel)
+		})
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("err = %v, want %v", err, sentinel)
+		}
+	}
+	if st := c.Stats(); st != (Stats{}) {
+		t.Fatalf("stats = %+v after rejected compiles, want none", st)
+	}
+	c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+		return nil, nil, context.DeadlineExceeded
+	})
+	if st := c.Stats(); st.Misses != 1 {
+		t.Fatalf("stats = %+v after a deadline failure, want 1 miss", st)
 	}
 }
 

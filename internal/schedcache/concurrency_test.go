@@ -1,6 +1,8 @@
 package schedcache
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,9 +90,9 @@ func TestConcurrentHammerAccounting(t *testing.T) {
 	}
 
 	// No two calls — same goroutine or different — may share a *Schedule
-	// or its Times backing array.
+	// or the backing array of one of its slices.
 	seen := make(map[*core.Schedule]bool)
-	seenTimes := make(map[*int]bool)
+	seenArrays := make(map[*int]bool)
 	perKey := make(map[int]*core.Schedule)
 	for g := range results {
 		for _, r := range results[g] {
@@ -98,13 +100,15 @@ func TestConcurrentHammerAccounting(t *testing.T) {
 				t.Fatalf("two calls returned the same *Schedule %p", r.sched)
 			}
 			seen[r.sched] = true
-			if len(r.sched.Times) == 0 {
-				t.Fatal("schedule with empty Times")
-			}
-			if p := &r.sched.Times[0]; seenTimes[p] {
-				t.Fatalf("two schedules share a Times backing array %p", p)
-			} else {
-				seenTimes[p] = true
+			for name, xs := range map[string][]int{"Times": r.sched.Times, "SCCSizes": r.sched.SCCSizes} {
+				if len(xs) == 0 {
+					t.Fatalf("schedule with empty %s", name)
+				}
+				if p := &xs[0]; seenArrays[p] {
+					t.Fatalf("two schedules share a %s backing array %p", name, p)
+				} else {
+					seenArrays[p] = true
+				}
 			}
 			// All copies of one key must agree on the schedule content.
 			if first, ok := perKey[r.key]; !ok {
@@ -135,14 +139,14 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 	scheds := make([]*core.Schedule, latecomers+1)
 
 	// Master: registers the flight, then blocks inside compile until every
-	// latecomer is accounted for as an in-flight join.
+	// latecomer is parked on it.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		s, _, err := c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 			close(inCompile)
 			deadline := time.Now().Add(30 * time.Second)
-			for c.Stats().Inflight < latecomers {
+			for parkedJoins() < latecomers {
 				if time.Now().After(deadline) {
 					t.Error("latecomers never joined the flight")
 					break
@@ -193,4 +197,19 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// parkedJoins counts the goroutines parked in Cache.Do on a flight's done
+// channel, from a dump of every goroutine's stack. Stats counts a join
+// only once it completes, so it cannot show one in progress.
+func parkedJoins() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[chan receive") && strings.Contains(g, "schedcache.(*Cache).Do(") {
+			n++
+		}
+	}
+	return n
 }

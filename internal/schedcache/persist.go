@@ -13,19 +13,20 @@ import (
 
 // blobVersion gates the persisted schedule format. Bump it whenever the
 // codec changes incompatibly: old entries then decode-fail, are marked
-// corrupt, and recompile — never misdecode.
-const blobVersion = 1
+// corrupt, and recompile — never misdecode (version 2 added SCCSizes).
+const blobVersion = 2
 
 // blob is the persisted form of one cached compilation. Only the fields
 // a schedule needs beyond the caller's own (loop, machine, options)
 // survive: the issue times, alternatives, delays, bounds, the effort
-// counters (responses replay them byte-for-byte), and the degradation
-// report. Loop and machine pointers are rebound on load, exactly as an
-// in-memory hit rebinds them.
+// counters (responses replay them byte-for-byte), the SCC sizes, and the
+// degradation report. Loop and machine pointers are rebound on load,
+// exactly as an in-memory hit rebinds them.
 type blob struct {
 	V                       int
 	II, MII, ResMII, Length int
 	Times, Alts, Delays     []int
+	SCCSizes                []int
 	Stats                   core.Counters
 	DegStage                string
 	DegFailures             []blobFailure
@@ -44,15 +45,16 @@ type blobFailure struct {
 // encodeBlob serializes a compilation result for the disk tier.
 func encodeBlob(sched *core.Schedule, deg *core.Degradation) ([]byte, error) {
 	b := blob{
-		V:      blobVersion,
-		II:     sched.II,
-		MII:    sched.MII,
-		ResMII: sched.ResMII,
-		Length: sched.Length,
-		Times:  sched.Times,
-		Alts:   sched.Alts,
-		Delays: sched.Delays,
-		Stats:  sched.Stats,
+		V:        blobVersion,
+		II:       sched.II,
+		MII:      sched.MII,
+		ResMII:   sched.ResMII,
+		Length:   sched.Length,
+		Times:    sched.Times,
+		Alts:     sched.Alts,
+		Delays:   sched.Delays,
+		SCCSizes: sched.SCCSizes,
+		Stats:    sched.Stats,
 	}
 	if deg != nil {
 		b.HasDegradation = true
@@ -81,17 +83,18 @@ func decodeBlob(data []byte, l *ir.Loop, m *machine.Machine, opts core.Options) 
 		return nil, nil, errors.New("schedcache: disk entry shape does not match the loop")
 	}
 	sched := &core.Schedule{
-		Loop:    l,
-		Machine: m,
-		Options: opts,
-		II:      b.II,
-		MII:     b.MII,
-		ResMII:  b.ResMII,
-		Times:   b.Times,
-		Alts:    b.Alts,
-		Delays:  b.Delays,
-		Length:  b.Length,
-		Stats:   b.Stats,
+		Loop:     l,
+		Machine:  m,
+		Options:  opts,
+		II:       b.II,
+		MII:      b.MII,
+		ResMII:   b.ResMII,
+		SCCSizes: b.SCCSizes,
+		Times:    b.Times,
+		Alts:     b.Alts,
+		Delays:   b.Delays,
+		Length:   b.Length,
+		Stats:    b.Stats,
 	}
 	// The checksum already proved the bytes are what was written; Check
 	// proves what was written is a legal schedule for THIS loop and

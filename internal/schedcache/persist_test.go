@@ -1,6 +1,7 @@
 package schedcache
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -106,7 +107,7 @@ func TestDiskCorruptEntryRecompiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := openDisk(t, dir)
-	if err := fresh.Put(key, []byte(`{"V":1,"Times":[1,2],"Alts":[1]}`)); err != nil {
+	if err := fresh.Put(key, []byte(`{"V":2,"Times":[1,2],"Alts":[1]}`)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,29 +143,52 @@ func TestDiskCorruptEntryRecompiles(t *testing.T) {
 }
 
 // TestDiskVersionDrift: an entry from a future (or past) codec version
-// is treated as corrupt, not misdecoded.
+// is treated as corrupt, not misdecoded. The past includes a legal
+// version 1 entry: it lacks SCCSizes, so serving it would report empty
+// SCC statistics.
 func TestDiskVersionDrift(t *testing.T) {
-	dir := t.TempDir()
 	m := machine.Cydra5()
 	l := testLoop(t, m, "drift", 2)
 	opts := core.DefaultOptions()
+	want, deg, err := compileDirect(l, m, opts)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := encodeBlob(want, deg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 map[string]any
+	if err := json.Unmarshal(data, &v1); err != nil {
+		t.Fatal(err)
+	}
+	v1["V"] = 1
+	delete(v1, "SCCSizes")
+	if data, err = json.Marshal(v1); err != nil {
+		t.Fatal(err)
+	}
 
-	d := openDisk(t, dir)
-	key := Key(l, m, opts)
-	if err := d.Put(key, []byte(`{"V":999}`)); err != nil {
-		t.Fatal(err)
-	}
-	c := New(8)
-	c.AttachDisk(d)
-	compiled := false
-	if _, _, err := c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
-		compiled = true
-		return compileDirect(l, m, opts)()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !compiled || d.Stats().Corrupt != 1 {
-		t.Fatalf("version-drifted entry not evicted (compiled=%v, stats=%+v)", compiled, d.Stats())
+	for name, payload := range map[string][]byte{"future": []byte(`{"V":999}`), "version 1": data} {
+		d := openDisk(t, t.TempDir())
+		if err := d.Put(Key(l, m, opts), payload); err != nil {
+			t.Fatal(err)
+		}
+		c := New(8)
+		c.AttachDisk(d)
+		compiled := false
+		got, _, err := c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+			compiled = true
+			return compileDirect(l, m, opts)()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !compiled || d.Stats().Corrupt != 1 {
+			t.Fatalf("%s entry not evicted (compiled=%v, stats=%+v)", name, compiled, d.Stats())
+		}
+		if len(want.SCCSizes) == 0 || !reflect.DeepEqual(got.SCCSizes, want.SCCSizes) {
+			t.Fatalf("%s entry: SCCSizes = %v, want %v", name, got.SCCSizes, want.SCCSizes)
+		}
 	}
 }
 
@@ -218,6 +242,7 @@ func TestDiskRoundTripManyLoops(t *testing.T) {
 			if s.II != wants[k].s.II || s.Length != wants[k].s.Length ||
 				!reflect.DeepEqual(s.Times, wants[k].s.Times) ||
 				!reflect.DeepEqual(s.Alts, wants[k].s.Alts) ||
+				!reflect.DeepEqual(s.SCCSizes, wants[k].s.SCCSizes) ||
 				!reflect.DeepEqual(s.Stats, wants[k].s.Stats) ||
 				!reflect.DeepEqual(d, wants[k].d) {
 				t.Fatalf("loop %d machine %d: disk round trip drifted", i, mi)

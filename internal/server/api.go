@@ -213,12 +213,18 @@ type JobStatusResponse struct {
 // for a successful compile, so serving and the CLI are diffable byte for
 // byte (the CI smoke test does exactly that).
 func (r *CompileResponse) RenderText(w io.Writer) {
+	r.RenderSummary(w)
+	io.WriteString(w, r.Kernel)
+}
+
+// RenderSummary writes the lines RenderText prints before the kernel;
+// msched's -verbose, -mrt and -gantt output goes between the two.
+func (r *CompileResponse) RenderSummary(w io.Writer) {
 	fmt.Fprintf(w, "loop %s: %d operations, %d edges\n", r.Name, r.Ops, r.Edges)
 	fmt.Fprintf(w, "ResMII=%d MII=%d non-trivial SCCs=%d acyclic-list SL=%d\n",
 		r.ResMII, r.MII, r.NonTrivialSCCs, r.ListSL)
 	fmt.Fprintf(w, "II=%d (DeltaII=%d) SL=%d stages=%d scheduling steps=%d\n\n",
 		r.II, r.II-r.MII, r.SL, r.Stages, r.SchedSteps)
-	io.WriteString(w, r.Kernel)
 }
 
 // Text returns RenderText as a string.

@@ -10,6 +10,7 @@ import (
 	"modsched"
 	"modsched/internal/core"
 	"modsched/internal/ir"
+	"modsched/internal/listsched"
 	"modsched/internal/looplang"
 	"modsched/internal/machine"
 )
@@ -127,10 +128,10 @@ func (s *Server) compileDeadline(req *CompileRequest) time.Duration {
 	return d
 }
 
-// compileItem runs one loop through the full pipeline — parse, bounds,
-// cached best-effort scheduling, kernel generation — and folds the
-// outcome into a BatchItem. It also feeds the per-loop metrics: outcome
-// counts and the scheduler-effort counters.
+// compileItem runs one loop through the full pipeline — parse, cached
+// best-effort scheduling, the acyclic baseline, kernel generation — and
+// folds the outcome into a BatchItem. It also feeds the per-loop
+// metrics: outcome counts and the scheduler-effort counters.
 func (s *Server) compileItem(ctx context.Context, req *CompileRequest) BatchItem {
 	if s.testCompileHook != nil {
 		s.testCompileHook(req)
@@ -148,12 +149,10 @@ func (s *Server) compileItem(ctx context.Context, req *CompileRequest) BatchItem
 	return BatchItem{Status: status, Result: resp}
 }
 
-// compileOne is the pipeline behind compileItem, mirroring the msched
-// CLI stage for stage so the two surfaces classify inputs identically:
-// parse, then the Section 2 bounds and the acyclic baseline (whose
-// errors — an unschedulable recurrence, say — must win over scheduling
-// errors exactly as they do in the CLI), then the cached best-effort
-// compile, then kernel lowering.
+// compileOne is the pipeline behind compileItem, the msched CLI's too, so
+// the two surfaces classify inputs identically: parse, the cached
+// best-effort compile (its one analysis gives the bounds or rejects the
+// loop; a cache hit runs none), the list baseline, kernel lowering.
 func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileResponse, *ErrorResponse, int) {
 	m, errResp := s.machineFor(req)
 	if errResp != nil {
@@ -170,17 +169,6 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileR
 		return nil, &ErrorResponse{Kind: kind, Error: err.Error()}, status
 	}
 
-	bounds, err := modsched.ComputeMII(loop, m, opts.DelayModel)
-	if err != nil {
-		kind, status := classify(err)
-		return nil, &ErrorResponse{Kind: kind, Error: err.Error()}, status
-	}
-	ls, err := modsched.ListSchedules(loop, m, opts.DelayModel)
-	if err != nil {
-		kind, status := classify(err)
-		return nil, &ErrorResponse{Kind: kind, Error: err.Error()}, status
-	}
-
 	cctx, cancel := context.WithTimeout(ctx, s.compileDeadline(req))
 	defer cancel()
 	sched, deg, err := modsched.CompileBestEffortCached(cctx, s.cache, loop, m, opts)
@@ -188,35 +176,49 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileR
 		kind, status := classify(err)
 		return nil, &ErrorResponse{Kind: kind, Error: err.Error()}, status
 	}
+	resp, err := NewCompileResponse(sched, deg)
+	if err != nil {
+		return nil, &ErrorResponse{Kind: KindInvalid, Error: err.Error()}, http.StatusUnprocessableEntity
+	}
 	s.metrics.countEffort(&sched.Stats)
-
 	kern, err := modsched.GenerateKernel(sched)
 	if err != nil {
 		return nil, &ErrorResponse{Kind: KindInternal, Error: err.Error()}, http.StatusInternalServerError
 	}
+	resp.Kernel = kern.String()
+	return resp, nil, http.StatusOK
+}
 
-	resp := &CompileResponse{
-		Name:           loop.Name,
-		Ops:            loop.NumRealOps(),
-		Edges:          len(loop.Edges),
-		ResMII:         bounds.ResMII,
-		MII:            bounds.MII,
-		NonTrivialSCCs: len(bounds.NonTrivialSCCs),
+// NewCompileResponse is the response for a compile, all but the kernel,
+// with the acyclic list-schedule baseline run on the compile's delays.
+// That fails only for a distance-0 cycle of non-positive delay, which the
+// modulo schedulers accept; callers report it as invalid input.
+func NewCompileResponse(sched *core.Schedule, deg *core.Degradation) (*CompileResponse, error) {
+	l := sched.Loop
+	ls, err := listsched.Schedule(l, sched.Machine, sched.Delays)
+	if err != nil {
+		return nil, err
+	}
+	r := &CompileResponse{
+		Name:           l.Name,
+		Ops:            l.NumRealOps(),
+		Edges:          len(l.Edges),
+		ResMII:         sched.ResMII,
+		MII:            sched.MII,
+		NonTrivialSCCs: sched.NonTrivialSCCs(),
 		ListSL:         ls.Length,
 		II:             sched.II,
 		SL:             sched.Length,
 		Stages:         sched.StageCount(),
 		SchedSteps:     sched.Stats.SchedSteps,
-		Kernel:         kern.String(),
 	}
 	if deg != nil && deg.Degraded() {
-		info := &DegradationInfo{Stage: deg.Stage, Message: deg.String()}
+		r.Degradation = &DegradationInfo{Stage: deg.Stage, Message: deg.String()}
 		for _, f := range deg.Failures {
-			info.Failures = append(info.Failures, StageFailureInfo{Stage: f.Stage, Error: f.Err.Error()})
+			r.Degradation.Failures = append(r.Degradation.Failures, StageFailureInfo{Stage: f.Stage, Error: f.Err.Error()})
 		}
-		resp.Degradation = info
 	}
-	return resp, nil, http.StatusOK
+	return r, nil
 }
 
 // quote renders a request-supplied name for a diagnostic.

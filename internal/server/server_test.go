@@ -40,6 +40,18 @@ brtop
 !mem b -> a dist 0
 `
 
+// zeroCycleSource carries a distance-0 dependence cycle whose total
+// delay is negative: the modulo schedulers accept it, but the acyclic
+// list-scheduling baseline cannot, so it is invalid input for the
+// served pipeline.
+const zeroCycleSource = `
+loop zc
+a: x = add p
+b: y = add x
+brtop
+!mem b -> a dist 0 delay -20
+`
+
 // chainSource builds a serial fadd chain of n operations — compile cost
 // grows superlinearly with n, which the deadline test exploits.
 func chainSource(n int) string {
@@ -109,7 +121,7 @@ func TestCompileSingle(t *testing.T) {
 // TestErrorMapping pins the typed-error -> HTTP status contract of the
 // serving layer.
 func TestErrorMapping(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name   string
 		req    CompileRequest
@@ -121,6 +133,7 @@ func TestErrorMapping(t *testing.T) {
 		{"bad priority", CompileRequest{Source: daxpySource, Options: &OptionsSpec{Priority: "zorch"}}, 422, KindInvalid},
 		{"negative budget", CompileRequest{Source: daxpySource, Options: &OptionsSpec{Budget: -1}}, 422, KindInvalid},
 		{"no schedule", CompileRequest{Source: impossibleSource}, 409, KindNoSchedule},
+		{"zero-distance cycle", CompileRequest{Source: zeroCycleSource}, 422, KindInvalid},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,6 +149,18 @@ func TestErrorMapping(t *testing.T) {
 				t.Errorf("kind = %q, want %q (error: %s)", eresp.Kind, tc.kind, eresp.Error)
 			}
 		})
+	}
+	// No error response adds scheduler effort. The only cache traffic is
+	// the zero-distance cycle's compile, which schedules; the loop the
+	// analysis rejects is not traffic.
+	s.metrics.mu.Lock()
+	steps, attempts := s.metrics.schedSteps, s.metrics.iiAttempts
+	s.metrics.mu.Unlock()
+	if steps != 0 || attempts != 0 {
+		t.Errorf("error responses counted effort: %d steps, %d II attempts", steps, attempts)
+	}
+	if st := s.CacheStats(); st.Misses != 1 || st.Hits+st.Inflight != 0 {
+		t.Errorf("cache stats = %+v, want the zero-distance cycle's one miss", st)
 	}
 }
 

@@ -43,9 +43,10 @@ func TestSoak(t *testing.T) {
 		{Source: impossibleSource},
 		{Source: "loop broken\nnonsense\n"},
 	}
-	// Distinct cache keys: the specs that reach the scheduler (the
-	// infeasible loop dies at the bound computation, the parse error at
-	// the parser — neither touches the cache).
+	// Distinct cache keys: the specs that schedule. The infeasible loop
+	// reaches the cache, since its bounds are computed inside the
+	// compile, but a loop the analysis rejects is not cache traffic; the
+	// parse error never reaches the cache.
 	const cacheKeys = 5
 
 	// Reference outcomes from an independent instance — same pipeline,

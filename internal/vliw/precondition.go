@@ -46,11 +46,7 @@ func RunFlatAnyTrips(l *ir.Loop, m *machine.Machine, sched *core.Schedule, spec 
 	}
 	pipelined := spec.Trips - remainder
 
-	delays, err := ir.Delays(l, m, sched.Options.DelayModel)
-	if err != nil {
-		return nil, err
-	}
-	ls, err := listsched.Schedule(l, m, delays)
+	ls, err := listsched.Schedule(l, m, sched.Delays)
 	if err != nil {
 		return nil, err
 	}

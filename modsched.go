@@ -309,22 +309,20 @@ type (
 func CheckSchedule(s *Schedule) error { return core.Check(s) }
 
 // ComputeMII computes ResMII, the production MII and the SCC structure
-// for a loop (Section 2 of the paper).
+// for a loop (Section 2 of the paper). It is the analysis every compile
+// runs first, so its bounds equal those of any Schedule of the loop.
 func ComputeMII(l *Loop, m *Machine, model DelayModel) (*MIIResult, error) {
-	delays, err := ir.Delays(l, m, model)
-	if err != nil {
-		return nil, err
-	}
-	return mii.Compute(l, m, delays, nil)
+	return core.Analyze(l, m, model)
 }
 
 // ListSchedules runs the acyclic list-scheduling baseline over the
-// distance-0 subgraph.
-func ListSchedules(l *Loop, m *Machine, model DelayModel) (*ListSchedule, error) {
-	delays, err := ir.Delays(l, m, model)
+// distance-0 subgraph, on inputs that pass a compile's validation.
+func ListSchedules(l *Loop, m *Machine, model DelayModel) (ls *ListSchedule, err error) {
+	delays, err := core.Delays(l, m, model)
 	if err != nil {
 		return nil, err
 	}
+	defer core.RecoverToInternal(l.Name, &err)
 	return listsched.Schedule(l, m, delays)
 }
 
